@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import experiments, params
+from .engine import DEFAULT_HORIZON_MS
 from .experiments import (CrossoverNotFound, CrossoverQuery, SweepSpec, aggregate,
                           aggregate_capacity, default_capacity_counts, emit_aggregate,
                           emit_results, find_crossover, log_spaced_counts, peak_point,
@@ -87,7 +88,7 @@ def _sweep_spec(args: argparse.Namespace, dr_aliases: tuple[str, ...]) -> SweepS
         dr_aliases=dr_aliases,
         payload_bytes=_int_list(_require(args, "payload"), "payload"),
         device_counts=_device_counts(args),
-        horizon_ms=int(_resolve(args, "horizon_ms", str(4 * 3_600_000))),
+        horizon_ms=int(_resolve(args, "horizon_ms", str(DEFAULT_HORIZON_MS))),
         replications=int(_resolve(args, "replications", "3")),
         master_seed=int(_resolve(args, "seed", "0")),
     )
@@ -154,16 +155,7 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
         payload_bytes=int(_require(args, "payload")),
         region=_resolve(args, "region", "EU868"),
     )
-    spec = SweepSpec(
-        region=query.region,
-        dr_aliases=(query.lora_dr, query.lorae_dr),
-        payload_bytes=(query.payload_bytes,),
-        device_counts=_device_counts(args),
-        horizon_ms=int(_resolve(args, "horizon_ms", str(4 * 3_600_000))),
-        replications=int(_resolve(args, "replications", "3")),
-        master_seed=int(_resolve(args, "seed", "0")),
-    )
-    result = find_crossover(query, spec)
+    result = find_crossover(query, _sweep_spec(args, (query.lora_dr, query.lorae_dr)))
     print(f"crossover_pkts_h={result.load_pkts_per_hour:.1f} "
           f"lora_dr={query.lora_dr} lorae_dr={query.lorae_dr} "
           f"payload_B={query.payload_bytes}")
@@ -175,16 +167,8 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     dr = _require(args, "dr").upper()
     payload = int(_require(args, "payload"))
     if _resolve(args, "devices") is None and _resolve(args, "devices_log") is None:
-        counts = default_capacity_counts(region, dr, payload)
-    else:
-        counts = _device_counts(args)
-    spec = SweepSpec(
-        region=region, dr_aliases=(dr,), payload_bytes=(payload,),
-        device_counts=counts,
-        horizon_ms=int(_resolve(args, "horizon_ms", str(4 * 3_600_000))),
-        replications=int(_resolve(args, "replications", "3")),
-        master_seed=int(_resolve(args, "seed", "0")),
-    )
+        args.devices = ",".join(map(str, default_capacity_counts(region, dr, payload)))
+    spec = _sweep_spec(args, (dr,))
     points = aggregate(spec, sweep(spec))
     peak = peak_point(points)
     capacity = aggregate_capacity(region, dr, peak.offered_pkts_per_hour)

@@ -11,30 +11,30 @@ Decoding: a LoRa-E packet needs at least one uncollided header replica and
 at least ``ceil(coding_rate x fragment_count)`` uncollided fragments; a
 LoRa packet needs its single emission uncollided.
 
-``run`` is the vectorised scenario driver; ``build_attempts`` exposes the
-same scenario as per-packet objects for inspection and cross-checking.
-Both consume identical RNG draws: per device (in index order) the arrival
-schedule first, then one block of hopping seeds, then one block of grids.
+``run`` lays a whole scenario out at once: every LoRa-E packet is one row of
+a (packets x hops) block of emissions, header replicas first, all built
+from one emission template, since a scenario has one data rate and one
+payload size.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hopping import SEED_COUNT, CarrierId, hop_hash_array, hopping_sequence
+from .hopping import SEED_COUNT, slot_matrix
 from .params import LORA, LORA_E, DataRateProfile, RegionalPlan, max_packet_rate
 from .params import lorae_fragment_durations, lora_time_on_air
-from .traffic import ArrivalSchedule, DeviceConfig, device_stream, generate_schedule
+from .traffic import DeviceConfig, device_stream, generate_schedule
 
 DEFAULT_HORIZON_MS = 4 * 3_600_000   # 4 simulated hours
 
 
 class ScenarioConfigError(ValueError):
-    """Scenario mixes incompatible devices (family or channel plan)."""
+    """Scenario mixes incompatible devices (data rate, payload or channel plan)."""
 
 
 class Outcome(enum.Enum):
@@ -42,45 +42,6 @@ class Outcome(enum.Enum):
     LOST_HEADER = "lost_header"        # every header replica collided
     LOST_PAYLOAD = "lost_payload"      # too few clean fragments to rebuild
     LOST_COLLISION = "lost_collision"  # LoRa single-emission collision
-
-
-class EmissionKind(enum.Enum):
-    HEADER_REPLICA = "header"
-    FRAGMENT = "fragment"
-    LORA_PACKET = "lora"
-
-
-@dataclass(slots=True)
-class Emission:
-    """One contiguous transmission on one carrier; ``carrier`` None = whole
-    LoRa channel.  ``index`` numbers replicas/fragments within the packet."""
-
-    owner: int
-    kind: EmissionKind
-    index: int
-    carrier: CarrierId | None
-    t_start_ms: int
-    t_end_ms: int
-    collided: bool = False
-
-    def __post_init__(self) -> None:
-        if self.t_end_ms <= self.t_start_ms:
-            raise ValueError("emission must have positive duration")
-
-
-@dataclass(slots=True)
-class TransmissionAttempt:
-    """One packet: its draws, its emissions and (after adjudication) its fate."""
-
-    packet_id: int
-    device_id: int
-    profile: DataRateProfile
-    payload_bytes: int
-    start_ms: int
-    grid: int = 0
-    seed: int | None = None
-    emissions: list[Emission] = field(default_factory=list)
-    outcome: Outcome | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,18 +57,23 @@ class Scenario:
             raise ScenarioConfigError("scenario needs at least one device")
         if self.horizon_ms <= 0:
             raise ValueError(f"horizon must be positive, got {self.horizon_ms}")
-        families = {d.profile.family for d in self.devices}
-        if len(families) > 1:
-            raise ScenarioConfigError(
-                f"LoRa and LoRa-E devices cannot share a scenario, got {sorted(families)}")
+        if len({d.profile for d in self.devices}) > 1:
+            aliases = sorted({d.profile.alias for d in self.devices})
+            raise ScenarioConfigError(f"all devices must share one data rate, got {aliases}")
+        if len({d.payload_bytes for d in self.devices}) > 1:
+            raise ScenarioConfigError("all devices must share one payload size")
         if len({d.plan for d in self.devices}) > 1:
             raise ScenarioConfigError("all devices must share one channel plan")
         if len({d.device_id for d in self.devices}) != len(self.devices):
             raise ScenarioConfigError("device ids must be unique")
 
     @property
-    def family(self) -> str:
-        return self.devices[0].profile.family
+    def profile(self) -> DataRateProfile:
+        return self.devices[0].profile
+
+    @property
+    def payload_bytes(self) -> int:
+        return self.devices[0].payload_bytes
 
     @property
     def plan(self) -> RegionalPlan:
@@ -139,25 +105,6 @@ class ScenarioResult:
             raise ValueError("decoded + losses must equal generated")
 
 
-CSV_COLUMNS = ["devices", "dr", "payload", "offered_pkts_h", "decoded_pkts_h",
-               "goodput_B_h", "loss_header", "loss_payload", "loss_collision", "seed"]
-
-
-def csv_row(result: ScenarioResult) -> list[object]:
-    return [
-        result.device_count,
-        result.dr_label,
-        result.payload_label,
-        round(result.offered_load_packets_per_hour, 3),
-        round(result.throughput_packets_per_hour, 3),
-        round(result.goodput_bytes_per_hour, 3),
-        result.loss_breakdown.get(Outcome.LOST_HEADER, 0),
-        result.loss_breakdown.get(Outcome.LOST_PAYLOAD, 0),
-        result.loss_breakdown.get(Outcome.LOST_COLLISION, 0),
-        result.master_seed,
-    ]
-
-
 def lora_grid_duration_ms(profile: DataRateProfile, payload_bytes: int) -> int:
     """LoRa airtime rounded up to the engine's whole-ms grid."""
     return math.ceil(lora_time_on_air(profile, payload_bytes))
@@ -169,135 +116,29 @@ def fragment_threshold(profile: DataRateProfile, fragment_count: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Draw order (shared by the object and vectorised paths)
+# Batched scenario layout
 
-@dataclass(frozen=True, slots=True)
-class _PacketDraws:
-    device: DeviceConfig
-    schedule: ArrivalSchedule
-    seeds: np.ndarray   # one 9-bit hopping seed per packet (LoRa-E only)
-    grids: np.ndarray   # one grid index per packet (LoRa-E only)
+def _draw_packets(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start ms, hopping seed and grid of every packet, devices in index order.
 
-
-def _draw_packets(scenario: Scenario) -> list[_PacketDraws]:
-    """Per-device schedules and per-packet hopping draws, in a fixed order."""
-    out: list[_PacketDraws] = []
-    lorae = scenario.family == LORA_E
+    Each device draws from its own stream: its arrival schedule first, then
+    (LoRa-E only) one block of hopping seeds, then one block of grids.
+    LoRa scenarios get empty seed and grid arrays.
+    """
+    starts: list[np.ndarray] = []
+    seeds: list[np.ndarray] = [np.empty(0, dtype=np.uint32)]
+    grids: list[np.ndarray] = [np.empty(0, dtype=np.uint32)]
+    lorae = scenario.profile.family == LORA_E
     for index, dev in enumerate(scenario.devices):
         rng = device_stream(scenario.master_seed, index)
         schedule = generate_schedule(dev, scenario.horizon_ms, rng)
-        n = len(schedule.start_times)
+        starts.append(np.asarray(schedule.start_times, dtype=np.int64))
         if lorae:
-            seeds = rng.integers(0, SEED_COUNT, size=n, dtype=np.uint32)
-            grids = rng.integers(0, dev.plan.num_grids, size=n, dtype=np.uint32)
-        else:
-            seeds = np.empty(0, dtype=np.uint32)
-            grids = np.empty(0, dtype=np.uint32)
-        out.append(_PacketDraws(dev, schedule, seeds, grids))
-    return out
+            n = len(schedule.start_times)
+            seeds.append(rng.integers(0, SEED_COUNT, size=n, dtype=np.uint32))
+            grids.append(rng.integers(0, dev.plan.num_grids, size=n, dtype=np.uint32))
+    return np.concatenate(starts), np.concatenate(seeds), np.concatenate(grids)
 
-
-# ---------------------------------------------------------------------------
-# Object path
-
-def enumerate_emissions(attempt: TransmissionAttempt, plan: RegionalPlan,
-                        profile: DataRateProfile) -> list[Emission]:
-    """Emissions of one packet: header replicas back-to-back, then fragments.
-
-    LoRa-E replicas and fragments all hop: sequence position k (replicas
-    first) takes slot k of the packet's hopping sequence on its fixed grid.
-    LoRa emits one whole-channel interval of the packet's airtime.
-    """
-    if profile.family == LORA:
-        dur = lora_grid_duration_ms(profile, attempt.payload_bytes)
-        return [Emission(attempt.packet_id, EmissionKind.LORA_PACKET, 0, None,
-                         attempt.start_ms, attempt.start_ms + dur)]
-    durations = lorae_fragment_durations(profile, attempt.payload_bytes)
-    n_head = profile.header_replicas
-    slots = hopping_sequence(attempt.seed, n_head + len(durations), plan.carriers_per_grid)
-    emissions: list[Emission] = []
-    t = attempt.start_ms
-    for i in range(n_head):
-        carrier = CarrierId(0, attempt.grid, slots[i])
-        emissions.append(Emission(attempt.packet_id, EmissionKind.HEADER_REPLICA, i,
-                                  carrier, t, t + profile.header_duration_ms))
-        t += profile.header_duration_ms
-    for j, dur in enumerate(durations):
-        carrier = CarrierId(0, attempt.grid, slots[n_head + j])
-        emissions.append(Emission(attempt.packet_id, EmissionKind.FRAGMENT, j,
-                                  carrier, t, t + dur))
-        t += dur
-    return emissions
-
-
-def _carrier_key(emission: Emission, carriers_per_grid: int) -> int:
-    if emission.carrier is None:
-        return 0
-    return emission.carrier.grid * carriers_per_grid + emission.carrier.slot
-
-
-def detect_collisions(emissions: list[Emission], carriers_per_grid: int = 1) -> None:
-    """Set ``collided`` on every emission that overlaps a same-carrier one.
-
-    Flags are symmetric (both parties marked) and idempotent.  Sweep per
-    carrier in start order: an emission overlaps an earlier one iff its
-    start precedes the running max end, and overlaps a later one iff the
-    next start precedes its own end.
-    """
-    groups: dict[int, list[Emission]] = {}
-    for em in emissions:
-        groups.setdefault(_carrier_key(em, carriers_per_grid), []).append(em)
-    for group in groups.values():
-        group.sort(key=lambda em: em.t_start_ms)
-        prev_max_end = -1
-        for i, em in enumerate(group):
-            hit = em.t_start_ms < prev_max_end
-            if i + 1 < len(group) and group[i + 1].t_start_ms < em.t_end_ms:
-                hit = True
-            if hit:
-                em.collided = True
-            prev_max_end = max(prev_max_end, em.t_end_ms)
-
-
-def adjudicate(attempt: TransmissionAttempt) -> Outcome:
-    """Decide a packet's fate from its emissions' collision flags."""
-    if attempt.profile.family == LORA:
-        (em,) = attempt.emissions
-        return Outcome.LOST_COLLISION if em.collided else Outcome.DECODED
-    headers = [em for em in attempt.emissions if em.kind is EmissionKind.HEADER_REPLICA]
-    fragments = [em for em in attempt.emissions if em.kind is EmissionKind.FRAGMENT]
-    clean_headers = sum(not em.collided for em in headers)
-    clean_fragments = sum(not em.collided for em in fragments)
-    if clean_headers == 0:
-        return Outcome.LOST_HEADER
-    if clean_fragments < fragment_threshold(attempt.profile, len(fragments)):
-        return Outcome.LOST_PAYLOAD
-    return Outcome.DECODED
-
-
-def build_attempts(scenario: Scenario) -> list[TransmissionAttempt]:
-    """All packets of a scenario as objects, emissions enumerated, no flags."""
-    attempts: list[TransmissionAttempt] = []
-    plan = scenario.plan
-    for draws in _draw_packets(scenario):
-        dev = draws.device
-        for i, start in enumerate(draws.schedule.start_times):
-            attempt = TransmissionAttempt(
-                packet_id=len(attempts),
-                device_id=dev.device_id,
-                profile=dev.profile,
-                payload_bytes=dev.payload_bytes,
-                start_ms=start,
-                grid=int(draws.grids[i]) if draws.grids.size else 0,
-                seed=int(draws.seeds[i]) if draws.seeds.size else None,
-            )
-            attempt.emissions = enumerate_emissions(attempt, plan, dev.profile)
-            attempts.append(attempt)
-    return attempts
-
-
-# ---------------------------------------------------------------------------
-# Vectorised path
 
 def _collide_arrays(key: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
     """Exact all-pairs overlap flags via a sorted per-carrier sweep."""
@@ -332,131 +173,61 @@ def _lorae_template(profile: DataRateProfile, payload_bytes: int
     return offsets, durs, n_head
 
 
-def _lorae_slots(seeds: np.ndarray, n_hops: int, carriers_per_grid: int) -> np.ndarray:
-    """Hop slots per packet, shape (n_packets, n_hops), repeats adjusted."""
-    hops = np.arange(n_hops, dtype=np.uint32)[None, :]
-    slots = (hop_hash_array(seeds[:, None], hops) % np.uint32(carriers_per_grid)
-             ).astype(np.int32)
-    cpg = np.int32(carriers_per_grid)
-    for h in range(1, n_hops):
-        same = slots[:, h] == slots[:, h - 1]
-        slots[same, h] = (slots[same, h] + 1) % cpg
-    return slots
+def decode_lorae(clean: np.ndarray, n_head: int, threshold: int) -> dict[Outcome, int]:
+    """Outcome counts of LoRa-E packets from their uncollided-emission flags.
+
+    ``clean`` holds one row per packet, header replicas first.  A packet
+    decodes with at least one clean header and ``threshold`` clean fragments.
+    """
+    lost_header = ~clean[:, :n_head].any(axis=1)
+    decoded = ~lost_header & (np.count_nonzero(clean[:, n_head:], axis=1) >= threshold)
+    n_decoded, n_lost_header = int(decoded.sum()), int(lost_header.sum())
+    return {Outcome.DECODED: n_decoded, Outcome.LOST_HEADER: n_lost_header,
+            Outcome.LOST_PAYLOAD: len(clean) - n_decoded - n_lost_header}
 
 
-def _aggregate(scenario: Scenario, outcomes: dict[Outcome, int],
-               decoded_bytes: int) -> ScenarioResult:
+def _aggregate(scenario: Scenario, outcomes: dict[Outcome, int]) -> ScenarioResult:
     per_hour = 3_600_000 / scenario.horizon_ms
-    decoded = outcomes.pop(Outcome.DECODED, 0)
-    outcomes = {k: v for k, v in outcomes.items() if v}
-    generated = decoded + sum(outcomes.values())
-    drs = sorted({d.profile.alias for d in scenario.devices})
-    payloads = sorted({d.payload_bytes for d in scenario.devices})
+    decoded = outcomes.pop(Outcome.DECODED)
+    losses = {k: v for k, v in outcomes.items() if v}
     return ScenarioResult(
         device_count=len(scenario.devices),
-        dr_label="+".join(drs),
-        payload_label="+".join(str(p) for p in payloads),
+        dr_label=scenario.profile.alias,
+        payload_label=str(scenario.payload_bytes),
         master_seed=scenario.master_seed,
         horizon_ms=scenario.horizon_ms,
-        generated_packets=generated,
+        generated_packets=decoded + sum(losses.values()),
         decoded_packets=decoded,
         offered_load_packets_per_hour=scenario.offered_load_pkts_per_hour(),
         throughput_packets_per_hour=decoded * per_hour,
-        goodput_bytes_per_hour=decoded_bytes * per_hour,
-        loss_breakdown=outcomes,
+        goodput_bytes_per_hour=decoded * scenario.payload_bytes * per_hour,
+        loss_breakdown=losses,
     )
 
 
 def run(scenario: Scenario) -> ScenarioResult:
     """Simulate one scenario deterministically and return its counters."""
-    draws = _draw_packets(scenario)
-    if scenario.family == LORA:
-        return _run_lora(scenario, draws)
-    return _run_lorae(scenario, draws)
+    start, seeds, grids = _draw_packets(scenario)
+    if scenario.profile.family == LORA:
+        return _run_lora(scenario, start)
+    return _run_lorae(scenario, start, seeds, grids)
 
 
-def _run_lora(scenario: Scenario, draws: list[_PacketDraws]) -> ScenarioResult:
-    starts, payloads, durs = [], [], []
-    for d in draws:
-        dur = lora_grid_duration_ms(d.device.profile, d.device.payload_bytes)
-        for t in d.schedule.start_times:
-            starts.append(t)
-            payloads.append(d.device.payload_bytes)
-            durs.append(dur)
-    start = np.asarray(starts, dtype=np.int64)
-    end = start + np.asarray(durs, dtype=np.int64)
+def _run_lora(scenario: Scenario, start: np.ndarray) -> ScenarioResult:
+    end = start + lora_grid_duration_ms(scenario.profile, scenario.payload_bytes)
     key = np.zeros(start.shape, dtype=np.int64)   # one shared channel
-    collided = _collide_arrays(key, start, end)
-    decoded = ~collided
-    outcomes = {Outcome.DECODED: int(decoded.sum()),
-                Outcome.LOST_COLLISION: int(collided.sum())}
-    decoded_bytes = int(np.asarray(payloads, dtype=np.int64)[decoded].sum())
-    return _aggregate(scenario, outcomes, decoded_bytes)
+    lost = int(_collide_arrays(key, start, end).sum())
+    return _aggregate(scenario, {Outcome.DECODED: start.size - lost,
+                                 Outcome.LOST_COLLISION: lost})
 
 
-def _run_lorae(scenario: Scenario, draws: list[_PacketDraws]) -> ScenarioResult:
-    plan = scenario.plan
-    cpg = plan.carriers_per_grid
-    key_parts: list[np.ndarray] = []
-    start_parts: list[np.ndarray] = []
-    end_parts: list[np.ndarray] = []
-    owner_parts: list[np.ndarray] = []
-    head_parts: list[np.ndarray] = []
-    meta: list[tuple[int, int]] = []   # per packet: payload bytes, decode threshold
-    next_packet = 0
-    for d in draws:
-        n = len(d.schedule.start_times)
-        if n == 0:
-            continue
-        profile = d.device.profile
-        offsets, durs, n_head = _lorae_template(profile, d.device.payload_bytes)
-        n_em = len(durs)
-        slots = _lorae_slots(d.seeds, n_em, cpg)                    # (n, n_em)
-        keys = d.grids.astype(np.int64)[:, None] * cpg + slots
-        starts = np.asarray(d.schedule.start_times, dtype=np.int64)[:, None] + offsets
-        owners = next_packet + np.arange(n, dtype=np.int64)
-        key_parts.append(keys.ravel())
-        start_parts.append(starts.ravel())
-        end_parts.append((starts + durs).ravel())
-        owner_parts.append(np.repeat(owners, n_em))
-        head_parts.append(np.tile(np.arange(n_em) < n_head, n))
-        threshold = fragment_threshold(profile, n_em - n_head)
-        meta.extend((d.device.payload_bytes, threshold) for _ in range(n))
-        next_packet += n
-    if next_packet == 0:
-        return _aggregate(scenario, {}, 0)
-    key = np.concatenate(key_parts)
-    start = np.concatenate(start_parts)
-    end = np.concatenate(end_parts)
-    owner = np.concatenate(owner_parts)
-    is_head = np.concatenate(head_parts)
-    collided = _collide_arrays(key, start, end)
-    clean = ~collided
-    n_pkts = next_packet
-    clean_heads = np.bincount(owner[is_head & clean], minlength=n_pkts)
-    clean_frags = np.bincount(owner[~is_head & clean], minlength=n_pkts)
-    payload_arr = np.asarray([m[0] for m in meta], dtype=np.int64)
-    thresholds = np.asarray([m[1] for m in meta], dtype=np.int64)
-    lost_header = clean_heads == 0
-    decoded = ~lost_header & (clean_frags >= thresholds)
-    lost_payload = ~lost_header & ~decoded
-    outcomes = {Outcome.DECODED: int(decoded.sum()),
-                Outcome.LOST_HEADER: int(lost_header.sum()),
-                Outcome.LOST_PAYLOAD: int(lost_payload.sum())}
-    decoded_bytes = int(payload_arr[decoded].sum())
-    return _aggregate(scenario, outcomes, decoded_bytes)
-
-
-def run_reference(scenario: Scenario) -> ScenarioResult:
-    """Object-path twin of :func:`run` for cross-checking small scenarios."""
-    attempts = build_attempts(scenario)
-    emissions = [em for a in attempts for em in a.emissions]
-    detect_collisions(emissions, scenario.plan.carriers_per_grid)
-    outcomes: dict[Outcome, int] = {}
-    decoded_bytes = 0
-    for a in attempts:
-        a.outcome = adjudicate(a)
-        outcomes[a.outcome] = outcomes.get(a.outcome, 0) + 1
-        if a.outcome is Outcome.DECODED:
-            decoded_bytes += a.payload_bytes
-    return _aggregate(scenario, outcomes, decoded_bytes)
+def _run_lorae(scenario: Scenario, start: np.ndarray, seeds: np.ndarray,
+               grids: np.ndarray) -> ScenarioResult:
+    """Lay every emission out as a packet-major (packets, hops) block."""
+    offsets, durs, n_head = _lorae_template(scenario.profile, scenario.payload_bytes)
+    cpg = scenario.plan.carriers_per_grid
+    key = grids.astype(np.int64)[:, None] * cpg + slot_matrix(seeds, len(durs), cpg)
+    em_start = start[:, None] + offsets
+    collided = _collide_arrays(key.ravel(), em_start.ravel(), (em_start + durs).ravel())
+    threshold = fragment_threshold(scenario.profile, len(durs) - n_head)
+    return _aggregate(scenario, decode_lorae(~collided.reshape(key.shape), n_head, threshold))

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .engine import Scenario, ScenarioResult, run
+from .engine import DEFAULT_HORIZON_MS, Outcome, Scenario, ScenarioResult, run
 from .params import (LORA, LORA_DR_COUNT_EU, DataRateProfile, RegionalPlan,
                      dr_profile, max_packet_rate, regional_plan, time_on_air)
 from .traffic import DeviceConfig
@@ -38,7 +38,7 @@ class SweepSpec:
     dr_aliases: tuple[str, ...]
     payload_bytes: tuple[int, ...]
     device_counts: tuple[int, ...]
-    horizon_ms: int = 4 * 3_600_000
+    horizon_ms: int = DEFAULT_HORIZON_MS
     replications: int = 3
     master_seed: int = 0
 
@@ -242,6 +242,22 @@ def peak_point(points: Sequence[AggregatePoint]) -> AggregatePoint:
 RESULT_COLUMNS = ["devices", "dr", "payload", "offered_pkts_h", "decoded_pkts_h",
                   "goodput_B_h", "loss_header", "loss_payload", "loss_collision", "seed"]
 
+
+def csv_row(result: ScenarioResult) -> list[object]:
+    """One result as a row under :data:`RESULT_COLUMNS`."""
+    return [
+        result.device_count,
+        result.dr_label,
+        result.payload_label,
+        round(result.offered_load_packets_per_hour, 3),
+        round(result.throughput_packets_per_hour, 3),
+        round(result.goodput_bytes_per_hour, 3),
+        result.loss_breakdown.get(Outcome.LOST_HEADER, 0),
+        result.loss_breakdown.get(Outcome.LOST_PAYLOAD, 0),
+        result.loss_breakdown.get(Outcome.LOST_COLLISION, 0),
+        result.master_seed,
+    ]
+
 AGGREGATE_COLUMNS = ["devices", "dr", "payload", "offered_pkts_h",
                      "goodput_B_h_mean", "goodput_B_h_std",
                      "decoded_pkts_h_mean", "decoded_pkts_h_std", "replications"]
@@ -259,7 +275,6 @@ def emit(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[object
 
 
 def emit_results(results: Sequence[ScenarioResult], path: str | Path) -> None:
-    from .engine import csv_row
     emit(path, RESULT_COLUMNS, [csv_row(r) for r in results])
 
 

@@ -26,11 +26,6 @@ _HOP_WORD_STRIDE = 0x10000
 # sizes 35, 60 and 86).
 _MIX_M1 = 0x45550FBF
 _MIX_M2 = 0x6BF49967
-_MASK32 = 0xFFFFFFFF
-
-
-class HoppingSeedError(ValueError):
-    """Hopping seed outside the 9-bit range."""
 
 
 class CarrierIndexError(IndexError):
@@ -46,23 +41,11 @@ class CarrierId:
     slot: int
 
 
-def hop_hash(seed: int, hop_index: int) -> int:
-    """32-bit hash of (seed, hop_index); uniform after modulo reduction."""
-    if not 0 <= seed < SEED_COUNT:
-        raise HoppingSeedError(f"seed must be in [0, {SEED_COUNT}), got {seed}")
-    if hop_index < 0:
-        raise ValueError(f"hop index must be non-negative, got {hop_index}")
-    x = (seed + hop_index * _HOP_WORD_STRIDE) & _MASK32
-    x ^= x >> 16
-    x = (x * _MIX_M1) & _MASK32
-    x ^= x >> 13
-    x = (x * _MIX_M2) & _MASK32
-    x ^= x >> 16
-    return x
-
-
 def hop_hash_array(seeds: np.ndarray, hop_indices: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`hop_hash` over broadcastable uint32 arrays."""
+    """32-bit hash of (seed, hop index) over broadcastable uint32 arrays.
+
+    Uniform after modulo reduction to a grid size.
+    """
     x = (seeds.astype(np.uint32) + hop_indices.astype(np.uint32) * np.uint32(_HOP_WORD_STRIDE))
     x ^= x >> np.uint32(16)
     x *= np.uint32(_MIX_M1)
@@ -72,40 +55,23 @@ def hop_hash_array(seeds: np.ndarray, hop_indices: np.ndarray) -> np.ndarray:
     return x
 
 
-def _adjust_repeats_columns(slots: np.ndarray, carriers_per_grid: int) -> np.ndarray:
-    """Bump any slot equal to its (adjusted) predecessor by one, per column."""
-    out = slots.copy()
-    for k in range(1, out.shape[0]):
-        same = out[k] == out[k - 1]
-        out[k, same] = (out[k, same] + 1) % carriers_per_grid
-    return out
-
-
-def hopping_sequence(seed: int, n_hops: int, carriers_per_grid: int) -> list[int]:
-    """Slot indices of the first ``n_hops`` hops for one seed."""
-    if carriers_per_grid < 2:
-        raise ValueError(f"hopping needs at least 2 slots per grid, got {carriers_per_grid}")
-    if n_hops < 0:
-        raise ValueError(f"hop count must be non-negative, got {n_hops}")
-    slots: list[int] = []
-    prev = -1
-    for k in range(n_hops):
-        slot = hop_hash(seed, k) % carriers_per_grid
-        if slot == prev:
-            slot = (slot + 1) % carriers_per_grid
-        slots.append(slot)
-        prev = slot
-    return slots
-
-
 def slot_matrix(seeds: np.ndarray, n_hops: int, carriers_per_grid: int) -> np.ndarray:
-    """Hop slots for many seeds at once, shape ``(n_hops, len(seeds))``."""
+    """Hop slots for many seeds at once, shape ``(len(seeds), n_hops)``.
+
+    Row ``i`` is the sequence of ``seeds[i]``: hop ``k`` reduces the hash of
+    (seed, k) modulo the grid size, and a slot equal to its (already
+    bumped) predecessor is bumped by one.
+    """
     if carriers_per_grid < 2:
         raise ValueError(f"hopping needs at least 2 slots per grid, got {carriers_per_grid}")
     seeds = np.asarray(seeds, dtype=np.uint32)
-    hops = np.arange(n_hops, dtype=np.uint32)[:, None]
-    raw = hop_hash_array(seeds[None, :], hops) % np.uint32(carriers_per_grid)
-    return _adjust_repeats_columns(raw.astype(np.int64), carriers_per_grid)
+    hops = np.arange(n_hops, dtype=np.uint32)
+    slots = (hop_hash_array(seeds[:, None], hops[None, :]) % np.uint32(carriers_per_grid)
+             ).astype(np.int64)
+    for k in range(1, n_hops):
+        same = slots[:, k] == slots[:, k - 1]
+        slots[same, k] = (slots[same, k] + 1) % carriers_per_grid
+    return slots
 
 
 def carrier_frequency(plan: RegionalPlan, carrier: CarrierId, channel_base_hz: int = 0) -> int:
@@ -128,9 +94,3 @@ def carrier_frequency(plan: RegionalPlan, carrier: CarrierId, channel_base_hz: i
     return (channel_base_hz
             + carrier.grid * plan.obw_bandwidth_hz
             + carrier.slot * plan.min_hop_separation_hz)
-
-
-def carrier_index(plan: RegionalPlan, carrier: CarrierId) -> int:
-    """Flat sub-carrier index inside one OCW channel (grid-major)."""
-    carrier_frequency(plan, carrier)   # reuse the bounds checks
-    return carrier.grid * plan.carriers_per_grid + carrier.slot

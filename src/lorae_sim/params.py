@@ -221,11 +221,6 @@ def regional_plan(region: str, alias: str) -> RegionalPlan:
         raise UnknownProfileError(f"no channel plan for {alias!r} in region {region!r}") from None
 
 
-def known_aliases(region: str) -> list[str]:
-    return sorted((a for r, a in _PROFILES if r == region),
-                  key=lambda a: (len(a), a))
-
-
 def _check_payload(profile: DataRateProfile, payload_bytes: int) -> None:
     if payload_bytes < 1:
         raise PayloadSizeError(f"payload must be at least 1 byte, got {payload_bytes}")

@@ -12,7 +12,6 @@ of existing ones.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,13 +61,6 @@ def device_stream(master_seed: int, device_index: int) -> np.random.Generator:
     """Independent per-device RNG stream spawned from the master seed."""
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(device_index,))))
-
-
-def next_interarrival(rng: np.random.Generator, mean_ms: float) -> int:
-    """One exponential inter-arrival gap, rounded up to a whole ms (>= 1)."""
-    if mean_ms <= 0:
-        raise ValueError(f"mean inter-arrival must be positive, got {mean_ms}")
-    return max(1, math.ceil(rng.exponential(mean_ms)))
 
 
 def generate_schedule(cfg: DeviceConfig, horizon_ms: int,

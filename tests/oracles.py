@@ -2,14 +2,21 @@
 
 Everything here is written from first principles with different machinery
 than the production code (pure-int bit twiddling, Fraction arithmetic,
-explicit bit enumeration, quadratic collision search) so agreement is
-meaningful.
+explicit bit enumeration, quadratic collision search, per-packet loops) so
+agreement is meaningful.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil
+
+import numpy as np
+
+from lorae_sim.engine import Outcome, Scenario, ScenarioResult
+from lorae_sim.hopping import SEED_COUNT
+from lorae_sim.params import LORA, lora_time_on_air, lorae_fragment_durations
+from lorae_sim.traffic import device_stream, generate_schedule
 
 M32 = 2 ** 32
 
@@ -85,3 +92,89 @@ def brute_force_collisions(intervals: list[tuple[object, int, int]]) -> list[boo
                 hit[i] = True
                 hit[j] = True
     return hit
+
+
+def sweep_collisions(intervals: list[tuple[object, int, int]]) -> list[bool]:
+    """Overlap flags over (carrier, start, end) half-open rows, per carrier.
+
+    In start order an interval overlaps an earlier one iff it starts before
+    the furthest end seen so far, and a later one iff the next start falls
+    before its own end.
+    """
+    by_carrier: dict[object, list[int]] = {}
+    for i, (carrier, _, _) in enumerate(intervals):
+        by_carrier.setdefault(carrier, []).append(i)
+    hit = [False] * len(intervals)
+    for members in by_carrier.values():
+        members.sort(key=lambda i: intervals[i][1])
+        reach = -1
+        for pos, i in enumerate(members):
+            _, start, end = intervals[i]
+            later = pos + 1 < len(members) and intervals[members[pos + 1]][1] < end
+            hit[i] = start < reach or later
+            reach = max(reach, end)
+    return hit
+
+
+def reference_run(scenario: Scenario) -> ScenarioResult:
+    """The result of ``engine.run`` rebuilt one packet and one emission at a time.
+
+    Per device, in index order, its own stream gives the arrival schedule,
+    then (LoRa-E) one block of hopping seeds and one block of grids.  Each
+    LoRa-E packet sends its header replicas back to back, then its
+    fragments; emission k hops to slot k of the packet's sequence.
+    """
+    device = scenario.devices[0]
+    profile, plan, payload = device.profile, device.plan, device.payload_bytes
+    if profile.family == LORA:
+        durations = [ceil(lora_time_on_air(profile, payload))]
+        n_head = 0
+    else:
+        n_head = profile.header_replicas
+        durations = ([profile.header_duration_ms] * n_head
+                     + list(lorae_fragment_durations(profile, payload)))
+    intervals: list[tuple[object, int, int]] = []
+    for index, dev in enumerate(scenario.devices):
+        rng = device_stream(scenario.master_seed, index)
+        starts = generate_schedule(dev, scenario.horizon_ms, rng).start_times
+        if profile.family == LORA:
+            intervals.extend(("channel", t, t + durations[0]) for t in starts)
+            continue
+        seeds = rng.integers(0, SEED_COUNT, size=len(starts), dtype=np.uint32)
+        grids = rng.integers(0, plan.num_grids, size=len(starts), dtype=np.uint32)
+        for t, seed, grid in zip(starts, seeds.tolist(), grids.tolist()):
+            slots = hop_slots(seed, len(durations), plan.carriers_per_grid)
+            for slot, dur in zip(slots, durations):
+                intervals.append(((grid, slot), t, t + dur))
+                t += dur
+    hit = sweep_collisions(intervals)
+
+    counts = {outcome: 0 for outcome in Outcome}
+    n_frag = len(durations) - n_head
+    needed = ceil(profile.coding_rate * n_frag)
+    for first in range(0, len(hit), len(durations)):
+        flags = hit[first:first + len(durations)]
+        if profile.family == LORA:
+            counts[Outcome.LOST_COLLISION if flags[0] else Outcome.DECODED] += 1
+        elif all(flags[:n_head]):
+            counts[Outcome.LOST_HEADER] += 1
+        elif flags[n_head:].count(False) < needed:
+            counts[Outcome.LOST_PAYLOAD] += 1
+        else:
+            counts[Outcome.DECODED] += 1
+
+    decoded = counts.pop(Outcome.DECODED)
+    per_hour = 3_600_000 / scenario.horizon_ms
+    return ScenarioResult(
+        device_count=len(scenario.devices),
+        dr_label=profile.alias,
+        payload_label=str(payload),
+        master_seed=scenario.master_seed,
+        horizon_ms=scenario.horizon_ms,
+        generated_packets=decoded + sum(counts.values()),
+        decoded_packets=decoded,
+        offered_load_packets_per_hour=scenario.offered_load_pkts_per_hour(),
+        throughput_packets_per_hour=decoded * per_hour,
+        goodput_bytes_per_hour=decoded * payload * per_hour,
+        loss_breakdown={k: v for k, v in counts.items() if v},
+    )

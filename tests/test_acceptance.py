@@ -250,7 +250,7 @@ def test_criterion_7_property_suites():
     for region, dr, min_hop in ((EU868, "DR8", 3_900), (US915, "DR5", 25_400)):
         plan = regional_plan(region, dr)
         matrix = slot_matrix(np.arange(SEED_COUNT), 64, plan.carriers_per_grid)
-        gap = int(np.abs(np.diff(matrix * min_hop, axis=0)).min())
+        gap = int(np.abs(np.diff(matrix * min_hop, axis=1)).min())
         print(f"  {region} {dr}: min consecutive-hop separation {gap} Hz "
               f"(floor {min_hop})")
         if gap < min_hop:

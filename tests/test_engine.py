@@ -5,13 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lorae_sim.engine import (CSV_COLUMNS, Emission, EmissionKind, Outcome,
-                              Scenario, ScenarioConfigError, TransmissionAttempt,
-                              adjudicate, build_attempts, csv_row, detect_collisions,
-                              enumerate_emissions, fragment_threshold,
-                              lora_grid_duration_ms, run, run_reference)
-from lorae_sim.hopping import CarrierId
-from lorae_sim.params import EU868, dr_profile, regional_plan
+from lorae_sim import engine
+from lorae_sim.engine import (Outcome, Scenario, ScenarioConfigError, _collide_arrays,
+                              _lorae_template, decode_lorae, fragment_threshold,
+                              lora_grid_duration_ms, run)
+from lorae_sim.experiments import RESULT_COLUMNS, csv_row
+from lorae_sim.params import EU868, US915, dr_profile, regional_plan
 from lorae_sim.traffic import DeviceConfig
 
 import oracles
@@ -28,105 +27,102 @@ def _scenario(dr: str, payload: int, devices: int, horizon_ms: int,
                     horizon_ms=horizon_ms, master_seed=seed)
 
 
-def _attempt(dr: str, payload: int, start: int = 0, grid: int = 0,
-             seed: int = 17) -> TransmissionAttempt:
-    profile = dr_profile(EU868, dr)
-    attempt = TransmissionAttempt(packet_id=0, device_id=0, profile=profile,
-                                  payload_bytes=payload, start_ms=start,
-                                  grid=grid, seed=seed)
-    attempt.emissions = enumerate_emissions(attempt, regional_plan(EU868, dr), profile)
-    return attempt
+def _run_drawn(monkeypatch, scenario: Scenario, starts: list[int],
+               seeds: list[int] = (), grids: list[int] = ()):
+    """Run ``scenario`` on hand-set packet draws; return the result and the
+    (key, start, end) arrays handed to the collision sweep."""
+    laid_out = []
+
+    def collide(key, start, end):
+        laid_out.extend((key, start, end))
+        return _collide_arrays(key, start, end)
+
+    monkeypatch.setattr(engine, "_draw_packets", lambda _: (
+        np.array(starts, dtype=np.int64), np.array(seeds, dtype=np.uint32),
+        np.array(grids, dtype=np.uint32)))
+    monkeypatch.setattr(engine, "_collide_arrays", collide)
+    return run(scenario), laid_out
 
 
-# --- emission enumeration ----------------------------------------------------
+# --- emission layout ---------------------------------------------------------
 
 def test_dr8_emission_layout():
-    attempt = _attempt("DR8", 10, start=1000)
-    kinds = [em.kind for em in attempt.emissions]
-    assert kinds == [EmissionKind.HEADER_REPLICA] * 3 + [EmissionKind.FRAGMENT] * 13
-    starts = [em.t_start_ms for em in attempt.emissions]
-    assert starts[:4] == [1000, 1233, 1466, 1699]
+    offsets, durs, n_head = _lorae_template(dr_profile(EU868, "DR8"), 10)
+    assert (n_head, len(durs)) == (3, 16)          # 3 header replicas, 13 fragments
+    assert offsets[:4].tolist() == [0, 233, 466, 699]
     # Contiguous in sequence order; total span is the packet airtime.
-    for prev, cur in zip(attempt.emissions, attempt.emissions[1:]):
-        assert cur.t_start_ms == prev.t_end_ms
-    assert attempt.emissions[-1].t_end_ms - 1000 == 1337
-    assert all(em.carrier.grid == 0 for em in attempt.emissions)
+    assert (offsets[1:] == offsets[:-1] + durs[:-1]).all()
+    assert offsets[-1] + durs[-1] == 1337
 
 
 def test_dr9_emission_layout():
-    attempt = _attempt("DR9", 10)
-    kinds = [em.kind for em in attempt.emissions]
-    assert kinds == [EmissionKind.HEADER_REPLICA] * 2 + [EmissionKind.FRAGMENT] * 7
-    assert attempt.emissions[-1].t_end_ms == 785
+    offsets, durs, n_head = _lorae_template(dr_profile(EU868, "DR9"), 10)
+    assert (n_head, len(durs)) == (2, 9)           # 2 header replicas, 7 fragments
+    assert offsets[-1] + durs[-1] == 785
 
 
-def test_emission_slots_follow_hopping_sequence():
-    attempt = _attempt("DR8", 10, grid=4, seed=211)
-    slots = [em.carrier.slot for em in attempt.emissions]
-    assert slots == oracles.hop_slots(211, 16, 35)
+def test_emission_slots_follow_hopping_sequence(monkeypatch):
+    # Packet-major layout: row p holds packet p's emissions in hop order,
+    # on its own grid, starting at its start time.
+    scenario = _scenario("DR8", 10, 1, 3_600_000, seed=0)
+    _, (key, start, end) = _run_drawn(monkeypatch, scenario, [1000, 5000],
+                                      seeds=[211, 17], grids=[4, 0])
+    offsets, durs, _ = _lorae_template(dr_profile(EU868, "DR8"), 10)
+    assert key.reshape(2, 16).tolist() == [
+        [4 * 35 + s for s in oracles.hop_slots(211, 16, 35)],
+        oracles.hop_slots(17, 16, 35)]
+    assert start.reshape(2, 16).tolist() == [(1000 + offsets).tolist(),
+                                             (5000 + offsets).tolist()]
+    assert (end - start).tolist() == durs.tolist() * 2
 
 
-def test_lora_emission_is_whole_channel():
-    attempt = _attempt("DR0", 10, start=50)
-    (em,) = attempt.emissions
-    assert em.kind is EmissionKind.LORA_PACKET
-    assert em.carrier is None
-    assert (em.t_start_ms, em.t_end_ms) == (50, 50 + 992)
+def test_lora_emission_is_whole_channel(monkeypatch):
+    _, (key, start, end) = _run_drawn(monkeypatch, _scenario("DR0", 10, 1, 3_600_000, 0),
+                                      [50, 3000])
+    assert key.tolist() == [0, 0]
+    assert start.tolist() == [50, 3000]
+    assert end.tolist() == [50 + 992, 3000 + 992]
     assert lora_grid_duration_ms(dr_profile(EU868, "DR0"), 10) == 992
 
 
 # --- collision flags ---------------------------------------------------------
 
-def _emission(key: tuple[int, int], start: int, end: int, owner: int = 0) -> Emission:
-    return Emission(owner, EmissionKind.FRAGMENT, 0, CarrierId(0, *key), start, end)
+def _flags(rows: list[tuple[tuple[int, int], int, int]]) -> list[bool]:
+    """Collision flags of ((grid, slot), start, end) rows on a 35-slot grid."""
+    key = np.array([grid * 35 + slot for (grid, slot), _, _ in rows], dtype=np.int64)
+    start = np.array([r[1] for r in rows], dtype=np.int64)
+    end = np.array([r[2] for r in rows], dtype=np.int64)
+    return _collide_arrays(key, start, end).tolist()
 
 
 def test_overlap_on_same_carrier_collides():
-    a = _emission((0, 3), 0, 50)
-    b = _emission((0, 3), 25, 75, owner=1)
-    detect_collisions([a, b], carriers_per_grid=35)
-    assert a.collided and b.collided
+    assert _flags([((0, 3), 0, 50), ((0, 3), 25, 75)]) == [True, True]
 
 
 def test_half_open_intervals_do_not_collide_back_to_back():
-    a = _emission((0, 3), 0, 50)
-    b = _emission((0, 3), 50, 100, owner=1)
-    detect_collisions([a, b], carriers_per_grid=35)
-    assert not a.collided and not b.collided
+    assert _flags([((0, 3), 0, 50), ((0, 3), 50, 100)]) == [False, False]
 
 
 def test_same_slot_different_grid_is_clean():
-    a = _emission((0, 3), 0, 50)
-    b = _emission((1, 3), 25, 75, owner=1)
-    detect_collisions([a, b], carriers_per_grid=35)
-    assert not a.collided and not b.collided
+    assert _flags([((0, 3), 0, 50), ((1, 3), 25, 75)]) == [False, False]
 
 
 def test_flags_idempotent_and_symmetric():
-    a = _emission((2, 9), 0, 60)
-    b = _emission((2, 9), 10, 20, owner=1)
-    c = _emission((2, 9), 100, 130, owner=2)
+    rows = [((2, 9), 0, 60), ((2, 9), 10, 20), ((2, 9), 100, 130)]
     for _ in range(2):
-        detect_collisions([a, b, c], carriers_per_grid=35)
-        assert (a.collided, b.collided, c.collided) == (True, True, False)
+        assert _flags(rows) == [True, True, False]
+    assert _flags(rows[::-1]) == [False, True, True]
 
 
 def test_grid_isolation():
     # Flags of a single-grid population are unchanged by traffic on
     # another grid.
     rng = np.random.default_rng(5)
-    local = [_emission((0, int(s)), int(t), int(t) + 50, owner=i)
-             for i, (s, t) in enumerate(zip(rng.integers(0, 35, 60),
-                                            rng.integers(0, 2000, 60)))]
-    foreign = [_emission((3, int(s)), int(t), int(t) + 50, owner=100 + i)
-               for i, (s, t) in enumerate(zip(rng.integers(0, 35, 60),
-                                              rng.integers(0, 2000, 60)))]
-    detect_collisions(local, carriers_per_grid=35)
-    flags_alone = [em.collided for em in local]
-    for em in local:
-        em.collided = False
-    detect_collisions(local + foreign, carriers_per_grid=35)
-    assert [em.collided for em in local] == flags_alone
+    local = [((0, int(s)), int(t), int(t) + 50)
+             for s, t in zip(rng.integers(0, 35, 60), rng.integers(0, 2000, 60))]
+    foreign = [((3, int(s)), int(t), int(t) + 50)
+               for s, t in zip(rng.integers(0, 35, 60), rng.integers(0, 2000, 60))]
+    assert _flags(local + foreign)[:len(local)] == _flags(local)
 
 
 @pytest.mark.parametrize("trial", range(20))
@@ -138,23 +134,25 @@ def test_collision_flags_equal_brute_force(trial):
     keys = rng.integers(0, 6, n)          # few carriers -> many overlaps
     starts = rng.integers(0, 400, n)
     lengths = rng.integers(1, 80, n)
-    emissions = [_emission((0, int(k)), int(s), int(s + d), owner=i)
-                 for i, (k, s, d) in enumerate(zip(keys, starts, lengths))]
-    detect_collisions(emissions, carriers_per_grid=35)
-    expected = oracles.brute_force_collisions(
-        [(int(k), int(s), int(s + d)) for k, s, d in zip(keys, starts, lengths)])
-    assert [em.collided for em in emissions] == expected
+    rows = [(int(k), int(s), int(s + d)) for k, s, d in zip(keys, starts, lengths)]
+    expected = oracles.brute_force_collisions(rows)
+    assert _flags([((0, k), s, e) for k, s, e in rows]) == expected
+    assert oracles.sweep_collisions(rows) == expected
 
 
 # --- adjudication ------------------------------------------------------------
 
-def _set_flags(attempt: TransmissionAttempt, clean_headers: int, clean_fragments: int):
-    headers = [em for em in attempt.emissions if em.kind is EmissionKind.HEADER_REPLICA]
-    frags = [em for em in attempt.emissions if em.kind is EmissionKind.FRAGMENT]
-    for i, em in enumerate(headers):
-        em.collided = i >= clean_headers
-    for i, em in enumerate(frags):
-        em.collided = i >= clean_fragments
+def _outcome(dr: str, clean_headers: int, clean_fragments: int) -> Outcome:
+    """Fate of one 10 B packet whose first headers and fragments are clean."""
+    profile = dr_profile(EU868, dr)
+    _, durs, n_head = _lorae_template(profile, 10)
+    n_frag = len(durs) - n_head
+    row = np.concatenate([np.arange(n_head) < clean_headers,
+                          np.arange(n_frag) < clean_fragments])
+    counts = decode_lorae(row[None, :], n_head, fragment_threshold(profile, n_frag))
+    (outcome,) = [k for k, v in counts.items() if v]
+    assert counts[outcome] == 1
+    return outcome
 
 
 def test_threshold_is_coding_rate_share_of_fragments():
@@ -164,34 +162,26 @@ def test_threshold_is_coding_rate_share_of_fragments():
 
 
 def test_all_headers_lost_kills_packet():
-    attempt = _attempt("DR8", 10)
-    _set_flags(attempt, clean_headers=0, clean_fragments=13)
-    assert adjudicate(attempt) is Outcome.LOST_HEADER
+    assert _outcome("DR8", clean_headers=0, clean_fragments=13) is Outcome.LOST_HEADER
 
 
 def test_too_few_fragments_is_payload_loss():
-    attempt = _attempt("DR8", 10)
-    _set_flags(attempt, clean_headers=1, clean_fragments=4)   # needs 5 of 13
-    assert adjudicate(attempt) is Outcome.LOST_PAYLOAD
+    # needs 5 of 13
+    assert _outcome("DR8", clean_headers=1, clean_fragments=4) is Outcome.LOST_PAYLOAD
 
 
 def test_exact_threshold_decodes():
-    attempt = _attempt("DR8", 10)
-    _set_flags(attempt, clean_headers=1, clean_fragments=5)
-    assert adjudicate(attempt) is Outcome.DECODED
-    dr9 = _attempt("DR9", 10)
-    _set_flags(dr9, clean_headers=1, clean_fragments=5)       # needs 5 of 7
-    assert adjudicate(dr9) is Outcome.DECODED
-    _set_flags(dr9, clean_headers=2, clean_fragments=4)
-    assert adjudicate(dr9) is Outcome.LOST_PAYLOAD
+    assert _outcome("DR8", clean_headers=1, clean_fragments=5) is Outcome.DECODED
+    assert _outcome("DR9", clean_headers=1, clean_fragments=5) is Outcome.DECODED  # 5 of 7
+    assert _outcome("DR9", clean_headers=2, clean_fragments=4) is Outcome.LOST_PAYLOAD
 
 
-def test_lora_adjudication_is_all_or_nothing():
-    attempt = _attempt("DR0", 10)
-    attempt.emissions[0].collided = False
-    assert adjudicate(attempt) is Outcome.DECODED
-    attempt.emissions[0].collided = True
-    assert adjudicate(attempt) is Outcome.LOST_COLLISION
+def test_lora_adjudication_is_all_or_nothing(monkeypatch):
+    # 992 ms packets: a 1 ms overlap destroys both, the third is untouched.
+    result, _ = _run_drawn(monkeypatch, _scenario("DR0", 10, 1, 3_600_000, 0),
+                           [0, 991, 5000])
+    assert result.decoded_packets == 1
+    assert result.loss_breakdown == {Outcome.LOST_COLLISION: 2}
 
 
 # --- scenario validation -----------------------------------------------------
@@ -199,6 +189,16 @@ def test_lora_adjudication_is_all_or_nothing():
 def test_mixed_family_scenario_rejected():
     with pytest.raises(ScenarioConfigError):
         Scenario((_device("DR0", 10, 0), _device("DR8", 10, 1)))
+
+
+def test_mixed_data_rate_or_payload_scenario_rejected():
+    plan = regional_plan(US915, "DR5")
+    assert regional_plan(US915, "DR6") == plan
+    with pytest.raises(ScenarioConfigError):
+        Scenario((DeviceConfig(0, dr_profile(US915, "DR5"), 10, plan),
+                  DeviceConfig(1, dr_profile(US915, "DR6"), 10, plan)))
+    with pytest.raises(ScenarioConfigError):
+        Scenario((_device("DR8", 10, 0), _device("DR8", 50, 1)))
 
 
 def test_empty_and_duplicate_devices_rejected():
@@ -217,7 +217,7 @@ def test_single_device_all_decoded():
     assert result.loss_breakdown.get(Outcome.LOST_HEADER, 0) == 0
 
 
-# --- vectorised path vs object path ------------------------------------------
+# --- batched engine vs per-packet reference ----------------------------------
 
 @pytest.mark.parametrize("dr, payload, devices", [
     ("DR8", 10, 40), ("DR8", 58, 25), ("DR9", 10, 40), ("DR9", 123, 15),
@@ -226,15 +226,7 @@ def test_single_device_all_decoded():
 def test_run_equals_reference(dr, payload, devices):
     for seed in (0, 1, 2):
         scenario = _scenario(dr, payload, devices, 3_600_000, seed)
-        fast = run(scenario)
-        slow = run_reference(scenario)
-        assert fast == slow
-
-
-def test_reference_attempts_carry_contiguous_packet_ids():
-    attempts = build_attempts(_scenario("DR9", 10, 5, 7_200_000, seed=9))
-    assert [a.packet_id for a in attempts] == list(range(len(attempts)))
-    assert all(len(a.emissions) == 9 for a in attempts)   # 2 headers + 7 fragments
+        assert run(scenario) == oracles.reference_run(scenario)
 
 
 # --- run invariants -----------------------------------------------------------
@@ -281,7 +273,7 @@ def test_lora_scenario_loses_only_to_collisions():
 def test_csv_row_order():
     result = run(_scenario("DR9", 10, 3, 3_600_000, seed=1))
     row = csv_row(result)
-    assert CSV_COLUMNS == ["devices", "dr", "payload", "offered_pkts_h",
+    assert RESULT_COLUMNS == ["devices", "dr", "payload", "offered_pkts_h",
                            "decoded_pkts_h", "goodput_B_h", "loss_header",
                            "loss_payload", "loss_collision", "seed"]
     assert row[0] == 3 and row[1] == "DR9" and row[2] == "10" and row[-1] == 1

@@ -9,9 +9,7 @@ import numpy as np
 import pytest
 
 from lorae_sim.hopping import (SEED_COUNT, CarrierId, CarrierIndexError,
-                               HoppingSeedError, carrier_frequency, carrier_index,
-                               hop_hash, hop_hash_array, hopping_sequence,
-                               slot_matrix)
+                               carrier_frequency, hop_hash_array, slot_matrix)
 from lorae_sim.params import EU868, US915, regional_plan
 
 import oracles
@@ -36,71 +34,55 @@ def _load_sequence_goldens() -> dict[str, list[int]]:
 # --- hash golden values and equivalences -----------------------------------
 
 def test_hash_matches_frozen_goldens():
-    for seed, hop, value in _load_hash_goldens():
-        assert hop_hash(seed, hop) == value, (seed, hop)
+    seeds, hops, values = np.array(_load_hash_goldens(), dtype=np.int64).T
+    assert hop_hash_array(seeds, hops).tolist() == values.tolist()
 
 
 def test_hash_matches_independent_reimplementation():
-    for seed in (0, 1, 2, 17, 255, 300, 500, 511):
-        for hop in range(200):
-            assert hop_hash(seed, hop) == oracles.hop_value(seed, hop)
-
-
-def test_hash_array_equals_scalar():
-    seeds = np.arange(SEED_COUNT, dtype=np.uint32)
-    hops = np.arange(64, dtype=np.uint32)[:, None]
-    values = hop_hash_array(seeds[None, :], hops)
-    for s in (0, 7, 511):
-        for k in (0, 1, 63):
-            assert int(values[k, s]) == hop_hash(s, k)
-
-
-def test_seed_range_enforced():
-    with pytest.raises(HoppingSeedError):
-        hop_hash(512, 0)
-    with pytest.raises(HoppingSeedError):
-        hop_hash(-1, 0)
-    with pytest.raises(ValueError):
-        hop_hash(0, -1)
+    seeds = np.array([0, 1, 2, 17, 255, 300, 500, 511], dtype=np.uint32)
+    hops = np.arange(200, dtype=np.uint32)
+    values = hop_hash_array(seeds[:, None], hops[None, :])
+    assert values.tolist() == [[oracles.hop_value(int(s), int(k)) for k in hops]
+                               for s in seeds]
 
 
 # --- sequences ---------------------------------------------------------------
 
+def _sequence(seed: int, n_hops: int, cpg: int) -> list[int]:
+    return slot_matrix(np.array([seed]), n_hops, cpg)[0].tolist()
+
+
 def test_sequence_matches_frozen_goldens():
     cases = _load_sequence_goldens()
-    assert hopping_sequence(17, 15, 35) == cases["seed17_grid3_cpg35"]
-    assert hopping_sequence(0, 8, 35) == cases["seed0_grid0_cpg35"]
-    assert hopping_sequence(511, 8, 86) == cases["seed511_grid7_cpg86"]
-    assert hopping_sequence(255, 8, 60) == cases["seed255_grid25_cpg60"]
+    assert _sequence(17, 15, 35) == cases["seed17_grid3_cpg35"]
+    assert _sequence(0, 8, 35) == cases["seed0_grid0_cpg35"]
+    assert _sequence(511, 8, 86) == cases["seed511_grid7_cpg86"]
+    assert _sequence(255, 8, 60) == cases["seed255_grid25_cpg60"]
 
 
 def test_sequence_matches_oracle_and_matrix():
     for cpg in (35, 86, 60):
         matrix = slot_matrix(np.arange(SEED_COUNT), 40, cpg)
         for seed in (0, 3, 100, 511):
-            seq = hopping_sequence(seed, 40, cpg)
-            assert seq == oracles.hop_slots(seed, 40, cpg)
-            assert seq == matrix[:, seed].tolist()
+            assert matrix[seed].tolist() == oracles.hop_slots(seed, 40, cpg)
 
 
 def test_no_consecutive_repeats_anywhere():
     for cpg in (35, 86, 60):
         matrix = slot_matrix(np.arange(SEED_COUNT), 64, cpg)
-        assert (matrix[1:] != matrix[:-1]).all()
+        assert (matrix[:, 1:] != matrix[:, :-1]).all()
 
 
 def test_all_512_sequences_distinct():
     for cpg in (35, 86, 60):
         matrix = slot_matrix(np.arange(SEED_COUNT), 16, cpg)
-        assert len({tuple(col) for col in matrix.T}) == SEED_COUNT
+        assert len({tuple(row) for row in matrix}) == SEED_COUNT
 
 
 def test_sequence_argument_validation():
     with pytest.raises(ValueError):
-        hopping_sequence(1, 8, 1)
-    with pytest.raises(ValueError):
-        hopping_sequence(1, -1, 35)
-    assert hopping_sequence(1, 0, 35) == []
+        slot_matrix(np.array([1]), 8, 1)
+    assert slot_matrix(np.array([1]), 0, 35).shape == (1, 0)
 
 
 # --- uniformity gates -------------------------------------------------------
@@ -130,7 +112,7 @@ def test_consecutive_hop_separation_meets_regulatory_minimum():
         plan = regional_plan(region, dr)
         matrix = slot_matrix(np.arange(SEED_COUNT), 64, plan.carriers_per_grid)
         freqs = matrix * min_hop   # same grid throughout a sequence
-        gaps = np.abs(np.diff(freqs, axis=0))
+        gaps = np.abs(np.diff(freqs, axis=1))
         assert gaps.min() >= min_hop
 
 
@@ -149,7 +131,6 @@ def test_carrier_frequency_layout():
     assert carrier_frequency(plan, CarrierId(0, 0, 0)) == 0
     assert carrier_frequency(plan, CarrierId(0, 3, 7), channel_base_hz=868_100_000) \
         == 868_100_000 + 3 * 488 + 7 * 3_900
-    assert carrier_index(plan, CarrierId(0, 3, 7)) == 3 * 35 + 7
 
 
 def test_carrier_bounds_checked():

@@ -9,7 +9,7 @@ import pytest
 
 from lorae_sim import params
 from lorae_sim.params import (EU868, LORA, LORA_E, US915, PayloadSizeError,
-                              UnknownProfileError, dr_profile, known_aliases,
+                              UnknownProfileError, dr_profile,
                               lora_time_on_air, lorae_coded_bits,
                               lorae_fragment_count, lorae_fragment_durations,
                               lorae_time_on_air, max_packet_rate, regional_plan)
@@ -57,7 +57,6 @@ def test_unknown_profiles_rejected():
         dr_profile(EU868, "DR7")
     with pytest.raises(UnknownProfileError):
         regional_plan(US915, "DR8")
-    assert known_aliases(US915) == ["DR5", "DR6"]
 
 
 # --- LoRa airtime ----------------------------------------------------------

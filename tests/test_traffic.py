@@ -8,7 +8,7 @@ from scipy import stats
 
 from lorae_sim.params import EU868, dr_profile, regional_plan, time_on_air
 from lorae_sim.traffic import (ArrivalSchedule, DeviceConfig, device_stream,
-                               generate_schedule, next_interarrival)
+                               generate_schedule)
 
 
 def _config(dr: str = "DR8", payload: int = 10, device_id: int = 0) -> DeviceConfig:
@@ -30,26 +30,6 @@ def test_schedule_statically_valid():
     with pytest.raises(ValueError):
         ArrivalSchedule(0, (9, 3))
     ArrivalSchedule(0, (3, 9))
-
-
-def test_next_interarrival_positive_integer_ms():
-    rng = device_stream(42, 0)
-    draws = [next_interarrival(rng, 2.5) for _ in range(2000)]
-    assert all(isinstance(d, int) and d >= 1 for d in draws)
-    with pytest.raises(ValueError):
-        next_interarrival(rng, 0)
-
-
-def test_next_interarrival_sample_mean():
-    rng = device_stream(7, 0)
-    draws = np.array([next_interarrival(rng, 131_000) for _ in range(100_000)])
-    assert draws.mean() == pytest.approx(131_000, rel=0.01)
-
-
-def test_next_interarrival_deterministic():
-    a = [next_interarrival(device_stream(9, 3), 1000) for _ in range(50)]
-    b = [next_interarrival(device_stream(9, 3), 1000) for _ in range(50)]
-    assert a == b
 
 
 def test_schedule_deterministic_and_increasing():
