@@ -132,34 +132,51 @@ def _draw_packets(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarra
     for index, dev in enumerate(scenario.devices):
         rng = device_stream(scenario.master_seed, index)
         schedule = generate_schedule(dev, scenario.horizon_ms, rng)
-        starts.append(np.asarray(schedule.start_times, dtype=np.int64))
+        starts.append(schedule.start_times)
         if lorae:
-            n = len(schedule.start_times)
+            n = schedule.start_times.size
             seeds.append(rng.integers(0, SEED_COUNT, size=n, dtype=np.uint32))
             grids.append(rng.integers(0, dev.plan.num_grids, size=n, dtype=np.uint32))
     return np.concatenate(starts), np.concatenate(seeds), np.concatenate(grids)
 
 
 def _collide_arrays(key: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Exact all-pairs overlap flags via a sorted per-carrier sweep."""
-    if key.size == 0:
+    """Exact all-pairs overlap flags of (carrier key, start, end) emissions.
+
+    Keys and times are non-negative integers.  Each emission moves onto one
+    number line at ``key * span + start`` with ``span = max(end) + 1``, so
+    emissions on different carriers never overlap there and "same carrier
+    and overlapping" becomes plain interval overlap.  The emission index
+    sits in the low bits of each line position, so one in-place sort of the
+    packed values gives the stable (key, start) order.  In that order an
+    emission overlaps an earlier one iff it starts before the furthest end
+    seen so far, and a later one iff the next start falls before its end.
+
+    Raises ``ValueError`` when the packed values would not fit in int64.
+    """
+    n = key.size
+    if n == 0:
         return np.zeros(0, dtype=bool)
-    order = np.lexsort((start, key))
-    k = key[order].astype(np.int64)
-    s = start[order].astype(np.int64)
-    e = end[order].astype(np.int64)
-    big = int(e.max()) + 1 if e.size else 1
-    group_cummax = np.maximum.accumulate(k * big + e)   # k sorted, so per-group
-    same_prev = np.empty(k.shape, dtype=bool)
-    same_prev[0] = False
-    same_prev[1:] = k[1:] == k[:-1]
-    prev_max_end = np.full(k.shape, -1, dtype=np.int64)
-    prev_max_end[1:] = group_cummax[:-1] - k[1:] * big
-    hit_earlier = same_prev & (s < prev_max_end)
-    hit_later = np.zeros(k.shape, dtype=bool)
-    hit_later[:-1] = (k[1:] == k[:-1]) & (s[1:] < e[:-1])
-    collided = np.empty(k.shape, dtype=bool)
-    collided[order] = hit_earlier | hit_later
+    span = int(end.max()) + 1
+    bits = n.bit_length()
+    if (int(key.max()) + 1) * span << bits >= 2 ** 63:
+        raise ValueError(f"{n} emissions over a {span} ms span do not pack into int64")
+    packed = key.astype(np.int64)
+    packed *= span
+    packed += start
+    packed <<= bits
+    packed |= np.arange(n, dtype=np.int64)
+    packed.sort()
+    order = packed & ((1 << bits) - 1)
+    packed >>= bits                          # line starts, ascending
+    line_end = np.subtract(end, start, dtype=np.int64)[order]
+    line_end += packed
+    hit = np.zeros(n, dtype=bool)
+    hit[:-1] = packed[1:] < line_end[:-1]    # overlaps the next emission
+    np.maximum.accumulate(line_end, out=line_end)
+    hit[1:] |= packed[1:] < line_end[:-1]    # overlaps an earlier emission
+    collided = np.empty(n, dtype=bool)
+    collided[order] = hit
     return collided
 
 

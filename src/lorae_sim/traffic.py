@@ -4,6 +4,8 @@ Every device transmits at the maximum average rate its duty cycle allows,
 so the mean inter-arrival time is ``time_on_air / duty_cycle`` (100 x ToA
 under the EU 1% rule).  Arrivals are a pure Poisson process: the rate is
 duty-cycle-limited but no hard per-packet silent period is enforced.
+Gaps are drawn 256 at a time and turned into arrival times by one running
+sum per block, so no per-arrival Python step remains.
 
 Each device owns an independent RNG stream spawned from the master seed by
 device index, so adding devices to a scenario never perturbs the schedules
@@ -45,15 +47,19 @@ class DeviceConfig:
         return self.time_on_air_ms / self.plan.duty_cycle
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ArrivalSchedule:
-    """Strictly increasing packet start times (ms) for one device."""
+    """Strictly increasing packet start times (ms) for one device.
+
+    ``generate_schedule`` hands ``start_times`` over as a read-only int64
+    array.  Equality is identity, so ``==`` never compares arrays by element.
+    """
 
     device_id: int
-    start_times: tuple[int, ...]
+    start_times: np.ndarray
 
     def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.start_times, self.start_times[1:])):
+        if np.any(np.diff(self.start_times) <= 0):
             raise ValueError("start times must be strictly increasing")
 
 
@@ -67,18 +73,25 @@ def generate_schedule(cfg: DeviceConfig, horizon_ms: int,
                       rng: np.random.Generator) -> ArrivalSchedule:
     """Poisson arrivals on [0, horizon); a packet may finish past the horizon.
 
-    Gaps are drawn in fixed-size blocks and rounded up to whole ms, so the
-    stream consumed is a deterministic function of the arrival count alone.
+    Gaps are drawn in fixed-size blocks and rounded up to whole ms.  Each
+    block's arrivals are its running sum from the last arrival so far, cut
+    at the horizon; drawing stops after the first block that the horizon
+    cuts.  So the stream consumed is a deterministic function of the
+    arrival count alone.
     """
     if horizon_ms <= 0:
         raise ValueError(f"horizon must be positive, got {horizon_ms}")
     mean = cfg.mean_interarrival_ms
-    times: list[int] = []
+    blocks: list[np.ndarray] = []
     t = 0
     while True:
         gaps = np.maximum(1, np.ceil(rng.exponential(mean, size=_BLOCK))).astype(np.int64)
-        for gap in gaps:
-            t += int(gap)
-            if t >= horizon_ms:
-                return ArrivalSchedule(cfg.device_id, tuple(times))
-            times.append(t)
+        times = t + np.cumsum(gaps)
+        kept = int(np.searchsorted(times, horizon_ms))
+        blocks.append(times[:kept])
+        if kept < _BLOCK:
+            break
+        t = int(times[-1])
+    start_times = np.concatenate(blocks)
+    start_times.flags.writeable = False
+    return ArrivalSchedule(cfg.device_id, start_times)

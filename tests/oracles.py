@@ -16,9 +16,10 @@ import numpy as np
 from lorae_sim.engine import Outcome, Scenario, ScenarioResult
 from lorae_sim.hopping import SEED_COUNT
 from lorae_sim.params import LORA, lora_time_on_air, lorae_fragment_durations
-from lorae_sim.traffic import device_stream, generate_schedule
+from lorae_sim.traffic import DeviceConfig, device_stream
 
 M32 = 2 ** 32
+SCHEDULE_BLOCK = 256   # exponential gaps are drawn this many at a time
 
 
 def mix32(word: int) -> int:
@@ -116,6 +117,26 @@ def sweep_collisions(intervals: list[tuple[object, int, int]]) -> list[bool]:
     return hit
 
 
+def reference_schedule(cfg: DeviceConfig, horizon_ms: int,
+                       rng: np.random.Generator) -> list[int]:
+    """Arrival times on [0, horizon), stepped one gap at a time.
+
+    Gaps come in blocks of ``SCHEDULE_BLOCK`` exponential draws, each rounded
+    up to a whole ms and at least 1; the first arrival at or past the
+    horizon ends the schedule, so a block is drawn only when every arrival
+    of the previous one fell inside the horizon.
+    """
+    times: list[int] = []
+    t = 0
+    while True:
+        draws = rng.exponential(cfg.mean_interarrival_ms, size=SCHEDULE_BLOCK)
+        for draw in draws.tolist():
+            t += max(1, ceil(draw))
+            if t >= horizon_ms:
+                return times
+            times.append(t)
+
+
 def reference_run(scenario: Scenario) -> ScenarioResult:
     """The result of ``engine.run`` rebuilt one packet and one emission at a time.
 
@@ -136,7 +157,7 @@ def reference_run(scenario: Scenario) -> ScenarioResult:
     intervals: list[tuple[object, int, int]] = []
     for index, dev in enumerate(scenario.devices):
         rng = device_stream(scenario.master_seed, index)
-        starts = generate_schedule(dev, scenario.horizon_ms, rng).start_times
+        starts = reference_schedule(dev, scenario.horizon_ms, rng)
         if profile.family == LORA:
             intervals.extend(("channel", t, t + durations[0]) for t in starts)
             continue

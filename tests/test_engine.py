@@ -140,6 +140,65 @@ def test_collision_flags_equal_brute_force(trial):
     assert oracles.sweep_collisions(rows) == expected
 
 
+def _rows(key, start, end) -> list[tuple[int, int, int]]:
+    return [(int(k), int(s), int(e)) for k, s, e in zip(key, start, end)]
+
+
+def test_identical_emissions_all_collide():
+    # Runs of equal (key, start) rows tie in the sort; every member of a run
+    # overlaps the others, a lone row does not.
+    key = np.array([4, 4, 4, 7, 4, 7, 9], dtype=np.int64)
+    start = np.array([10, 10, 10, 30, 10, 30, 30], dtype=np.int64)
+    end = start + 5
+    flags = _collide_arrays(key, start, end).tolist()
+    assert flags == oracles.brute_force_collisions(_rows(key, start, end))
+    assert flags == [True, True, True, True, True, True, False]
+
+
+def test_single_emission_is_clean():
+    one = np.array([3], dtype=np.int64)
+    assert _collide_arrays(one, np.array([0]), np.array([50])).tolist() == [False]
+
+
+def test_unsorted_input_flags_stay_in_input_order():
+    key = np.array([2, 0, 2, 1, 0, 2], dtype=np.int64)
+    start = np.array([90, 40, 0, 5, 0, 60], dtype=np.int64)
+    end = np.array([120, 45, 70, 9, 41, 95], dtype=np.int64)
+    flags = _collide_arrays(key, start, end).tolist()
+    assert flags == oracles.brute_force_collisions(_rows(key, start, end))
+    assert flags == [True, True, True, False, True, True]
+
+
+def test_carrier_keys_in_the_thousands():
+    # US915 DR5/DR6 has 3 120 sub-carriers: keys span many line segments.
+    rng = np.random.default_rng(77)
+    key = rng.integers(0, 3120, 400)
+    key[:40] = 3119
+    start = rng.integers(0, 300, 400)
+    end = start + rng.integers(1, 60, 400)
+    expected = oracles.brute_force_collisions(_rows(key, start, end))
+    assert _collide_arrays(key, start, end).tolist() == expected
+    assert any(expected) and not all(expected)
+
+
+def test_large_random_case_equals_sweep_oracle():
+    rng = np.random.default_rng(2024)
+    key = rng.integers(0, 50, 5000)
+    start = rng.integers(0, 200_000, 5000)
+    end = start + rng.integers(1, 400, 5000)
+    expected = oracles.sweep_collisions(_rows(key, start, end))
+    assert _collide_arrays(key, start, end).tolist() == expected
+    assert 0 < sum(expected) < len(expected)
+
+
+def test_packing_overflow_raises():
+    # (2**59 + 1) carriers x a 51 ms span do not fit in int64 with the index
+    # bits; the guard fires before anything of that size is built.
+    key = np.array([0, 2 ** 59], dtype=np.int64)
+    with pytest.raises(ValueError, match="2 emissions over a 51 ms span"):
+        _collide_arrays(key, np.array([0, 0]), np.array([50, 50]))
+
+
 # --- adjudication ------------------------------------------------------------
 
 def _outcome(dr: str, clean_headers: int, clean_fragments: int) -> Outcome:

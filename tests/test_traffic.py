@@ -10,6 +10,8 @@ from lorae_sim.params import EU868, dr_profile, regional_plan, time_on_air
 from lorae_sim.traffic import (ArrivalSchedule, DeviceConfig, device_stream,
                                generate_schedule)
 
+import oracles
+
 
 def _config(dr: str = "DR8", payload: int = 10, device_id: int = 0) -> DeviceConfig:
     return DeviceConfig(device_id, dr_profile(EU868, dr), payload,
@@ -36,9 +38,52 @@ def test_schedule_deterministic_and_increasing():
     cfg = _config()
     a = generate_schedule(cfg, 36_000_000, device_stream(5, 1))
     b = generate_schedule(cfg, 36_000_000, device_stream(5, 1))
-    assert a == b
+    assert np.array_equal(a.start_times, b.start_times)
     assert all(t2 > t1 for t1, t2 in zip(a.start_times, a.start_times[1:]))
     assert all(0 < t < 36_000_000 for t in a.start_times)
+
+
+def test_start_times_are_read_only_int64():
+    times = generate_schedule(_config(), 36_000_000, device_stream(5, 1)).start_times
+    assert times.dtype == np.int64
+    assert not times.flags.writeable
+    with pytest.raises(ValueError):
+        times[0] = 0
+
+
+def _arrival(cfg: DeviceConfig, seed: int, index: int) -> int:
+    """Time of arrival ``index`` of device 0's stream, from a horizon far past it."""
+    horizon = int(cfg.mean_interarrival_ms * 4 * (index + 1))
+    return oracles.reference_schedule(cfg, horizon, device_stream(seed, 0))[index]
+
+
+@pytest.mark.parametrize("dr, seed, horizon", [
+    ("DR8", 0, 1),                        # empty: the first gap is past it
+    ("DR8", 1, 36_000_000),
+    ("DR0", 2, 14_400_000),
+    ("DR5", 3, 3_600_000),
+    ("DR9", 4, 500_000_000),              # several blocks
+])
+def test_schedule_equals_reference(dr, seed, horizon):
+    cfg = _config(dr)
+    rng, ref_rng = device_stream(seed, 0), device_stream(seed, 0)
+    times = generate_schedule(cfg, horizon, rng).start_times
+    assert times.tolist() == oracles.reference_schedule(cfg, horizon, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("index", [254, 255, 256, 511, 512])
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_schedule_equals_reference_at_block_boundaries(index, shift):
+    # Horizons one ms around arrival 255/256 (the last of block 1 and the
+    # first of block 2) and 511/512: the cut lands on, before or after the
+    # boundary, which decides whether one more block is drawn.
+    cfg = _config("DR5")
+    horizon = _arrival(cfg, 9, index) + shift
+    rng, ref_rng = device_stream(9, 0), device_stream(9, 0)
+    times = generate_schedule(cfg, horizon, rng).start_times
+    assert times.tolist() == oracles.reference_schedule(cfg, horizon, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_schedule_expected_count():
@@ -53,7 +98,7 @@ def test_schedule_expected_count():
 
 def test_tiny_horizon_gives_empty_schedule():
     cfg = _config()
-    assert generate_schedule(cfg, 1, device_stream(0, 0)).start_times == ()
+    assert generate_schedule(cfg, 1, device_stream(0, 0)).start_times.size == 0
     with pytest.raises(ValueError):
         generate_schedule(cfg, 0, device_stream(0, 0))
 
@@ -67,7 +112,7 @@ def test_adding_devices_leaves_existing_streams_alone():
         generate_schedule(_config(device_id=other), 72_000_000,
                           device_stream(123, other))
     again = generate_schedule(cfg0, 72_000_000, device_stream(123, 0))
-    assert alone == again
+    assert np.array_equal(alone.start_times, again.start_times)
 
 
 def test_streams_differ_between_devices_and_seeds():
@@ -76,8 +121,8 @@ def test_streams_differ_between_devices_and_seeds():
     s00 = generate_schedule(cfg, horizon, device_stream(1, 0)).start_times
     s01 = generate_schedule(cfg, horizon, device_stream(1, 1)).start_times
     s10 = generate_schedule(cfg, horizon, device_stream(2, 0)).start_times
-    assert s00 != s01
-    assert s00 != s10
+    assert not np.array_equal(s00, s01)
+    assert not np.array_equal(s00, s10)
 
 
 def test_memorylessness_split_horizon():
