@@ -20,6 +20,7 @@ payload size.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,7 @@ from .params import lorae_fragment_durations, lora_time_on_air
 from .traffic import DeviceConfig, device_stream, generate_schedule
 
 DEFAULT_HORIZON_MS = 4 * 3_600_000   # 4 simulated hours
+_DRAW_DEVICES = 1024                 # devices per generate_schedule call
 
 
 class ScenarioConfigError(ValueError):
@@ -80,7 +82,9 @@ class Scenario:
         return self.devices[0].plan
 
     def offered_load_pkts_per_hour(self) -> float:
-        return sum(max_packet_rate(d.plan, d.time_on_air_ms) for d in self.devices)
+        # Summed term by term, not multiplied: equal to the per-device sum bit for bit.
+        rate = max_packet_rate(self.plan, self.devices[0].time_on_air_ms)
+        return sum(itertools.repeat(rate, len(self.devices)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,20 +127,24 @@ def _draw_packets(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     Each device draws from its own stream: its arrival schedule first, then
     (LoRa-E only) one block of hopping seeds, then one block of grids.
-    LoRa scenarios get empty seed and grid arrays.
+    Schedules are drawn ``_DRAW_DEVICES`` devices at a time, which keeps the
+    draw buffers small.  LoRa scenarios get empty seed and grid arrays.
     """
     starts: list[np.ndarray] = []
     seeds: list[np.ndarray] = [np.empty(0, dtype=np.uint32)]
     grids: list[np.ndarray] = [np.empty(0, dtype=np.uint32)]
     lorae = scenario.profile.family == LORA_E
-    for index, dev in enumerate(scenario.devices):
-        rng = device_stream(scenario.master_seed, index)
-        schedule = generate_schedule(dev, scenario.horizon_ms, rng)
+    num_grids = scenario.plan.num_grids
+    n = len(scenario.devices)
+    for first in range(0, n, _DRAW_DEVICES):
+        rngs = [device_stream(scenario.master_seed, index)
+                for index in range(first, min(first + _DRAW_DEVICES, n))]
+        schedule = generate_schedule(scenario.devices[first], scenario.horizon_ms, rngs)
         starts.append(schedule.start_times)
         if lorae:
-            n = schedule.start_times.size
-            seeds.append(rng.integers(0, SEED_COUNT, size=n, dtype=np.uint32))
-            grids.append(rng.integers(0, dev.plan.num_grids, size=n, dtype=np.uint32))
+            for rng, count in zip(rngs, schedule.counts.tolist()):
+                seeds.append(rng.integers(0, SEED_COUNT, size=count, dtype=np.uint32))
+                grids.append(rng.integers(0, num_grids, size=count, dtype=np.uint32))
     return np.concatenate(starts), np.concatenate(seeds), np.concatenate(grids)
 
 
@@ -243,7 +251,8 @@ def _run_lorae(scenario: Scenario, start: np.ndarray, seeds: np.ndarray,
     """Lay every emission out as a packet-major (packets, hops) block."""
     offsets, durs, n_head = _lorae_template(scenario.profile, scenario.payload_bytes)
     cpg = scenario.plan.carriers_per_grid
-    key = grids.astype(np.int64)[:, None] * cpg + slot_matrix(seeds, len(durs), cpg)
+    key = np.empty((seeds.size, len(durs)), dtype=np.int64)   # C order: ravel is free
+    np.add((grids.astype(np.int64) * cpg)[:, None], slot_matrix(seeds, len(durs), cpg), out=key)
     em_start = start[:, None] + offsets
     collided = _collide_arrays(key.ravel(), em_start.ravel(), (em_start + durs).ravel())
     threshold = fragment_threshold(scenario.profile, len(durs) - n_head)

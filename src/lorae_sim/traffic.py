@@ -1,19 +1,23 @@
-"""Per-device Poisson packet arrival schedules.
+"""Poisson packet arrival schedules, drawn for a block of devices at once.
 
 Every device transmits at the maximum average rate its duty cycle allows,
 so the mean inter-arrival time is ``time_on_air / duty_cycle`` (100 x ToA
 under the EU 1% rule).  Arrivals are a pure Poisson process: the rate is
 duty-cycle-limited but no hard per-packet silent period is enforced.
-Gaps are drawn 256 at a time and turned into arrival times by one running
-sum per block, so no per-arrival Python step remains.
 
 Each device owns an independent RNG stream spawned from the master seed by
 device index, so adding devices to a scenario never perturbs the schedules
-of existing ones.
+of existing ones.  A device's gaps are drawn from its stream 256 at a time,
+and a block is drawn only while every arrival so far fell inside the
+horizon.  ``generate_schedule`` runs these draws in rounds over many
+devices: each round fills one row per still-active device and turns all
+rows into arrival times with one running sum, so the Python work per
+device is one fill call per round.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,18 +53,26 @@ class DeviceConfig:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class ArrivalSchedule:
-    """Strictly increasing packet start times (ms) for one device.
+    """Packet start times (ms) of many devices, device-major.
 
+    ``counts[i]`` is the number of arrivals of device ``i``; its times are
+    the ``i``-th segment of ``start_times`` and strictly increase.
     ``generate_schedule`` hands ``start_times`` over as a read-only int64
     array.  Equality is identity, so ``==`` never compares arrays by element.
     """
 
-    device_id: int
     start_times: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.any(np.diff(self.start_times) <= 0):
-            raise ValueError("start times must be strictly increasing")
+        counts = np.asarray(self.counts)
+        if np.any(counts < 0) or counts.sum() != len(self.start_times):
+            raise ValueError("counts must be non-negative and add up to the start times")
+        falls = np.diff(self.start_times) <= 0
+        ends = np.cumsum(counts)[:-1]      # a device boundary is no fall
+        falls[ends[(ends > 0) & (ends < len(self.start_times))] - 1] = False
+        if np.any(falls):
+            raise ValueError("start times must be strictly increasing per device")
 
 
 def device_stream(master_seed: int, device_index: int) -> np.random.Generator:
@@ -70,28 +82,49 @@ def device_stream(master_seed: int, device_index: int) -> np.random.Generator:
 
 
 def generate_schedule(cfg: DeviceConfig, horizon_ms: int,
-                      rng: np.random.Generator) -> ArrivalSchedule:
-    """Poisson arrivals on [0, horizon); a packet may finish past the horizon.
+                      rngs: Sequence[np.random.Generator]) -> ArrivalSchedule:
+    """Poisson arrivals on [0, horizon) of one device per generator in ``rngs``.
 
-    Gaps are drawn in fixed-size blocks and rounded up to whole ms.  Each
-    block's arrivals are its running sum from the last arrival so far, cut
-    at the horizon; drawing stops after the first block that the horizon
-    cuts.  So the stream consumed is a deterministic function of the
-    arrival count alone.
+    Every device follows ``cfg``; a packet may finish past the horizon.  Each
+    device takes its gaps from its own generator in blocks of 256,
+    exponential with the mean inter-arrival time and rounded up to whole ms
+    (at least 1); its arrivals are the running sum, cut at the horizon, and
+    it draws another block only when the whole previous one fell inside.
+    So each stream is consumed as a function of its own arrival count
+    alone.  The devices' blocks are drawn in rounds: round ``r`` holds block
+    ``r`` of every device still active, and one scatter per round places
+    its kept arrivals at ``first[device] + 256 * r`` of the device-major
+    result.
     """
     if horizon_ms <= 0:
         raise ValueError(f"horizon must be positive, got {horizon_ms}")
     mean = cfg.mean_interarrival_ms
-    blocks: list[np.ndarray] = []
-    t = 0
-    while True:
-        gaps = np.maximum(1, np.ceil(rng.exponential(mean, size=_BLOCK))).astype(np.int64)
-        times = t + np.cumsum(gaps)
-        kept = int(np.searchsorted(times, horizon_ms))
-        blocks.append(times[:kept])
-        if kept < _BLOCK:
-            break
-        t = int(times[-1])
-    start_times = np.concatenate(blocks)
+    active = np.arange(len(rngs))
+    carry = np.zeros(len(rngs), dtype=np.int64)
+    counts = np.zeros(len(rngs), dtype=np.int64)
+    buf = np.empty((len(rngs), _BLOCK))
+    rounds: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    while active.size:
+        draws = buf[:active.size]
+        for row, device in zip(draws, active.tolist()):
+            rngs[device].standard_exponential(out=row)
+        draws *= mean                  # bitwise rng.exponential(mean)
+        np.ceil(draws, out=draws)
+        np.maximum(draws, 1, out=draws)
+        times = draws.astype(np.int64)
+        np.cumsum(times, axis=1, out=times)
+        times += carry[:, None]
+        inside = times < horizon_ms
+        kept = np.count_nonzero(inside, axis=1)
+        counts[active] += kept
+        rounds.append((active, times, inside))
+        full = kept == _BLOCK
+        active, carry = active[full], times[full, -1]
+    first = np.cumsum(counts) - counts
+    start_times = np.empty(int(counts.sum()), dtype=np.int64)
+    lane = np.arange(_BLOCK)
+    for r, (devices, times, inside) in enumerate(rounds):
+        at = (first[devices] + _BLOCK * r)[:, None] + lane
+        start_times[at[inside]] = times[inside]
     start_times.flags.writeable = False
-    return ArrivalSchedule(cfg.device_id, start_times)
+    return ArrivalSchedule(start_times, counts)

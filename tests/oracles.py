@@ -15,7 +15,8 @@ import numpy as np
 
 from lorae_sim.engine import Outcome, Scenario, ScenarioResult
 from lorae_sim.hopping import SEED_COUNT
-from lorae_sim.params import LORA, lora_time_on_air, lorae_fragment_durations
+from lorae_sim.params import (LORA, RegionalPlan, lora_time_on_air,
+                              lorae_fragment_durations)
 from lorae_sim.traffic import DeviceConfig, device_stream
 
 M32 = 2 ** 32
@@ -46,6 +47,25 @@ def hop_slots(seed: int, n_hops: int, slots_per_grid: int) -> list[int]:
             slot = (slot + 1) % slots_per_grid
         out.append(slot)
     return out
+
+
+def carrier_frequency(plan: RegionalPlan, ocw_channel: int, grid: int, slot: int,
+                      channel_base_hz: int = 0) -> int:
+    """Centre frequency offset (Hz) of one sub-carrier within its OCW channel.
+
+    Grids are interleaved at OBW spacing and the slots of a grid sit one
+    minimum hop separation apart.  Raises ``IndexError`` for a channel,
+    grid or slot outside the plan, and ``ValueError`` for a plan without
+    hopping carriers.
+    """
+    if plan.min_hop_separation_hz == 0:
+        raise ValueError(f"plan {plan.region_id} has no hopping carriers")
+    for name, index, size in (("OCW channel", ocw_channel, plan.num_ocw_channels),
+                              ("grid", grid, plan.num_grids),
+                              ("slot", slot, plan.carriers_per_grid)):
+        if not 0 <= index < size:
+            raise IndexError(f"{name} {index} outside [0, {size})")
+    return channel_base_hz + grid * plan.obw_bandwidth_hz + slot * plan.min_hop_separation_hz
 
 
 def lora_airtime_ms(sf: int, payload_bytes: int) -> Fraction:
@@ -137,13 +157,32 @@ def reference_schedule(cfg: DeviceConfig, horizon_ms: int,
             times.append(t)
 
 
+def reference_draws(scenario: Scenario) -> list[tuple[list[int], list[int], list[int]]]:
+    """Per device, in index order: its start times, hopping seeds and grids.
+
+    Each device's own stream gives the arrival schedule, then (LoRa-E) one
+    block of hopping seeds and one block of grids; LoRa devices get none.
+    """
+    plan = scenario.devices[0].plan
+    draws = []
+    for index, dev in enumerate(scenario.devices):
+        rng = device_stream(scenario.master_seed, index)
+        starts = reference_schedule(dev, scenario.horizon_ms, rng)
+        if dev.profile.family == LORA:
+            draws.append((starts, [], []))
+            continue
+        seeds = rng.integers(0, SEED_COUNT, size=len(starts), dtype=np.uint32)
+        grids = rng.integers(0, plan.num_grids, size=len(starts), dtype=np.uint32)
+        draws.append((starts, seeds.tolist(), grids.tolist()))
+    return draws
+
+
 def reference_run(scenario: Scenario) -> ScenarioResult:
     """The result of ``engine.run`` rebuilt one packet and one emission at a time.
 
-    Per device, in index order, its own stream gives the arrival schedule,
-    then (LoRa-E) one block of hopping seeds and one block of grids.  Each
-    LoRa-E packet sends its header replicas back to back, then its
-    fragments; emission k hops to slot k of the packet's sequence.
+    Packets come from ``reference_draws``.  Each LoRa-E packet sends its
+    header replicas back to back, then its fragments; emission k hops to
+    slot k of the packet's sequence.
     """
     device = scenario.devices[0]
     profile, plan, payload = device.profile, device.plan, device.payload_bytes
@@ -155,15 +194,11 @@ def reference_run(scenario: Scenario) -> ScenarioResult:
         durations = ([profile.header_duration_ms] * n_head
                      + list(lorae_fragment_durations(profile, payload)))
     intervals: list[tuple[object, int, int]] = []
-    for index, dev in enumerate(scenario.devices):
-        rng = device_stream(scenario.master_seed, index)
-        starts = reference_schedule(dev, scenario.horizon_ms, rng)
+    for starts, seeds, grids in reference_draws(scenario):
         if profile.family == LORA:
             intervals.extend(("channel", t, t + durations[0]) for t in starts)
             continue
-        seeds = rng.integers(0, SEED_COUNT, size=len(starts), dtype=np.uint32)
-        grids = rng.integers(0, plan.num_grids, size=len(starts), dtype=np.uint32)
-        for t, seed, grid in zip(starts, seeds.tolist(), grids.tolist()):
+        for t, seed, grid in zip(starts, seeds, grids):
             slots = hop_slots(seed, len(durations), plan.carriers_per_grid)
             for slot, dur in zip(slots, durations):
                 intervals.append(((grid, slot), t, t + dur))

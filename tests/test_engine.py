@@ -10,7 +10,7 @@ from lorae_sim.engine import (Outcome, Scenario, ScenarioConfigError, _collide_a
                               _lorae_template, decode_lorae, fragment_threshold,
                               lora_grid_duration_ms, run)
 from lorae_sim.experiments import RESULT_COLUMNS, csv_row
-from lorae_sim.params import EU868, US915, dr_profile, regional_plan
+from lorae_sim.params import EU868, US915, dr_profile, max_packet_rate, regional_plan
 from lorae_sim.traffic import DeviceConfig
 
 import oracles
@@ -42,6 +42,21 @@ def _run_drawn(monkeypatch, scenario: Scenario, starts: list[int],
         np.array(grids, dtype=np.uint32)))
     monkeypatch.setattr(engine, "_collide_arrays", collide)
     return run(scenario), laid_out
+
+
+# --- packet draws ------------------------------------------------------------
+
+@pytest.mark.parametrize("devices", [1023, 1024, 1025])
+def test_draws_equal_per_device_oracle_across_device_blocks(devices):
+    # Schedules are drawn in blocks of devices; the last device of one block
+    # and the first of the next must still get their own streams in order.
+    scenario = _scenario("DR8", 10, devices, 600_000, seed=5)
+    start, seeds, grids = engine._draw_packets(scenario)
+    expected = oracles.reference_draws(scenario)
+    assert start.tolist() == [t for starts, _, _ in expected for t in starts]
+    assert seeds.tolist() == [s for _, dev_seeds, _ in expected for s in dev_seeds]
+    assert grids.tolist() == [g for _, _, dev_grids in expected for g in dev_grids]
+    assert len(set(seeds.tolist())) > 1 and len(set(grids.tolist())) > 1
 
 
 # --- emission layout ---------------------------------------------------------
@@ -321,6 +336,13 @@ def test_offered_load_matches_generated_rate():
     result = run(scenario)
     empirical = result.generated_packets * 3_600_000 / scenario.horizon_ms
     assert result.offered_load_packets_per_hour == pytest.approx(empirical, rel=0.02)
+
+
+def test_offered_load_is_the_per_device_sum_bit_for_bit():
+    # The per-device sum, term by term; 300 x rate differs in the last bit.
+    scenario = _scenario("DR8", 10, 300, 14_400_000, seed=21)
+    per_device = sum(max_packet_rate(d.plan, d.time_on_air_ms) for d in scenario.devices)
+    assert scenario.offered_load_pkts_per_hour() == per_device
 
 
 def test_lora_scenario_loses_only_to_collisions():

