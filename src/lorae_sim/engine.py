@@ -11,10 +11,14 @@ Decoding: a LoRa-E packet needs at least one uncollided header replica and
 at least ``ceil(coding_rate x fragment_count)`` uncollided fragments; a
 LoRa packet needs its single emission uncollided.
 
-``run`` lays a whole scenario out at once: every LoRa-E packet is one row of
-a (packets x hops) block of emissions, header replicas first, all built
+``run`` works one grid at a time.  Grids share no sub-carrier, so LoRa-E
+packets on different grids never collide: the packets are split by grid,
+and each grid's emissions are laid out as one hop-major (hops x packets)
+block, collided and decoded on their own, header replicas first, all built
 from one emission template, since a scenario has one data rate and one
-payload size.
+payload size.  Peak memory is then the per-packet draws plus the busiest
+grid's emissions.  Before drawing, ``run`` refuses a scenario whose
+expected packets would not fit in physical memory.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +38,7 @@ from .traffic import DeviceConfig, device_stream, generate_schedule
 
 DEFAULT_HORIZON_MS = 4 * 3_600_000   # 4 simulated hours
 _DRAW_DEVICES = 1024                 # devices per generate_schedule call
+_BYTES_PER_PACKET = 55               # peak RSS per packet: US915 DR5, 5 000 devices, 1 h
 
 
 class ScenarioConfigError(ValueError):
@@ -231,7 +237,18 @@ def _aggregate(scenario: Scenario, outcomes: dict[Outcome, int]) -> ScenarioResu
 
 
 def run(scenario: Scenario) -> ScenarioResult:
-    """Simulate one scenario deterministically and return its counters."""
+    """Simulate one scenario deterministically and return its counters.
+
+    Raises ``ScenarioConfigError`` before drawing anything when the expected
+    packet count (offered load x horizon) would need more than the
+    machine's physical memory.
+    """
+    packets = scenario.offered_load_pkts_per_hour() * scenario.horizon_ms / 3_600_000
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if packets * _BYTES_PER_PACKET > limit:
+        raise ScenarioConfigError(
+            f"about {packets:.4g} packets would need {packets * _BYTES_PER_PACKET:.4g} B "
+            f"at {_BYTES_PER_PACKET} B a packet, over the {limit:.4g} B of physical memory")
     start, seeds, grids = _draw_packets(scenario)
     if scenario.profile.family == LORA:
         return _run_lora(scenario, start)
@@ -248,12 +265,27 @@ def _run_lora(scenario: Scenario, start: np.ndarray) -> ScenarioResult:
 
 def _run_lorae(scenario: Scenario, start: np.ndarray, seeds: np.ndarray,
                grids: np.ndarray) -> ScenarioResult:
-    """Lay every emission out as a packet-major (packets, hops) block."""
+    """Collide and decode the packets of one grid at a time.
+
+    Grids share no carrier, so a packet can only collide with packets of
+    its own grid.  The packets are split by grid with a stable partition;
+    each non-empty grid lays out a hop-major (hops, packets) block keyed by
+    slot alone, makes one collision call and is decoded on its own.  The
+    outcome counts add up to those of the whole scenario.
+    """
     offsets, durs, n_head = _lorae_template(scenario.profile, scenario.payload_bytes)
     cpg = scenario.plan.carriers_per_grid
-    key = np.empty((seeds.size, len(durs)), dtype=np.int64)   # C order: ravel is free
-    np.add((grids.astype(np.int64) * cpg)[:, None], slot_matrix(seeds, len(durs), cpg), out=key)
-    em_start = start[:, None] + offsets
-    collided = _collide_arrays(key.ravel(), em_start.ravel(), (em_start + durs).ravel())
     threshold = fragment_threshold(scenario.profile, len(durs) - n_head)
-    return _aggregate(scenario, decode_lorae(~collided.reshape(key.shape), n_head, threshold))
+    order = np.argsort(grids.astype(np.uint16), kind="stable")   # 16-bit keys: radix sort
+    outcomes = dict.fromkeys((Outcome.DECODED, Outcome.LOST_HEADER, Outcome.LOST_PAYLOAD), 0)
+    for members in np.split(order, np.cumsum(np.bincount(grids))[:-1]):
+        if members.size == 0:
+            continue
+        key = slot_matrix(seeds[members], len(durs), cpg).T   # C order: ravel is free
+        em_start = offsets[:, None] + start[members]
+        collided = _collide_arrays(key.ravel(), em_start.ravel(),
+                                   (em_start + durs[:, None]).ravel())
+        for outcome, count in decode_lorae(~collided.reshape(key.shape).T, n_head,
+                                           threshold).items():
+            outcomes[outcome] += count
+    return _aggregate(scenario, outcomes)

@@ -177,10 +177,13 @@ def reference_draws(scenario: Scenario) -> list[tuple[list[int], list[int], list
     return draws
 
 
-def reference_run(scenario: Scenario) -> ScenarioResult:
+def reference_run(scenario: Scenario,
+                  draws: list[tuple[list[int], list[int], list[int]]] | None = None
+                  ) -> ScenarioResult:
     """The result of ``engine.run`` rebuilt one packet and one emission at a time.
 
-    Packets come from ``reference_draws``.  Each LoRa-E packet sends its
+    Packets come from ``draws`` (per device: start times, hopping seeds and
+    grids), by default from ``reference_draws``.  Each LoRa-E packet sends its
     header replicas back to back, then its fragments; emission k hops to
     slot k of the packet's sequence.
     """
@@ -194,7 +197,7 @@ def reference_run(scenario: Scenario) -> ScenarioResult:
         durations = ([profile.header_duration_ms] * n_head
                      + list(lorae_fragment_durations(profile, payload)))
     intervals: list[tuple[object, int, int]] = []
-    for starts, seeds, grids in reference_draws(scenario):
+    for starts, seeds, grids in reference_draws(scenario) if draws is None else draws:
         if profile.family == LORA:
             intervals.extend(("channel", t, t + durations[0]) for t in starts)
             continue

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,25 +18,25 @@ from lorae_sim.traffic import DeviceConfig
 import oracles
 
 
-def _device(dr: str, payload: int, device_id: int = 0) -> DeviceConfig:
-    return DeviceConfig(device_id, dr_profile(EU868, dr), payload,
-                        regional_plan(EU868, dr))
+def _device(dr: str, payload: int, device_id: int = 0, region: str = EU868) -> DeviceConfig:
+    return DeviceConfig(device_id, dr_profile(region, dr), payload,
+                        regional_plan(region, dr))
 
 
 def _scenario(dr: str, payload: int, devices: int, horizon_ms: int,
-              seed: int) -> Scenario:
-    return Scenario(tuple(_device(dr, payload, i) for i in range(devices)),
+              seed: int, region: str = EU868) -> Scenario:
+    return Scenario(tuple(_device(dr, payload, i, region) for i in range(devices)),
                     horizon_ms=horizon_ms, master_seed=seed)
 
 
 def _run_drawn(monkeypatch, scenario: Scenario, starts: list[int],
                seeds: list[int] = (), grids: list[int] = ()):
-    """Run ``scenario`` on hand-set packet draws; return the result and the
-    (key, start, end) arrays handed to the collision sweep."""
+    """Run ``scenario`` on hand-set packet draws; return the result and one
+    (key, start, end) triple per call of the collision sweep."""
     laid_out = []
 
     def collide(key, start, end):
-        laid_out.extend((key, start, end))
+        laid_out.append((key, start, end))
         return _collide_arrays(key, start, end)
 
     monkeypatch.setattr(engine, "_draw_packets", lambda _: (
@@ -77,23 +79,23 @@ def test_dr9_emission_layout():
 
 
 def test_emission_slots_follow_hopping_sequence(monkeypatch):
-    # Packet-major layout: row p holds packet p's emissions in hop order,
-    # on its own grid, starting at its start time.
+    # One collision call per non-empty grid, in grid order: each lays out
+    # its packets' emissions in hop order, keyed by slot, from their start.
     scenario = _scenario("DR8", 10, 1, 3_600_000, seed=0)
-    _, (key, start, end) = _run_drawn(monkeypatch, scenario, [1000, 5000],
-                                      seeds=[211, 17], grids=[4, 0])
+    _, calls = _run_drawn(monkeypatch, scenario, [1000, 5000],
+                          seeds=[211, 17], grids=[4, 0])
     offsets, durs, _ = _lorae_template(dr_profile(EU868, "DR8"), 10)
-    assert key.reshape(2, 16).tolist() == [
-        [4 * 35 + s for s in oracles.hop_slots(211, 16, 35)],
-        oracles.hop_slots(17, 16, 35)]
-    assert start.reshape(2, 16).tolist() == [(1000 + offsets).tolist(),
-                                             (5000 + offsets).tolist()]
-    assert (end - start).tolist() == durs.tolist() * 2
+    (key0, start0, end0), (key4, start4, end4) = calls
+    assert key0.tolist() == oracles.hop_slots(17, 16, 35)
+    assert key4.tolist() == oracles.hop_slots(211, 16, 35)
+    assert start0.tolist() == (5000 + offsets).tolist()
+    assert start4.tolist() == (1000 + offsets).tolist()
+    assert (end0 - start0).tolist() == (end4 - start4).tolist() == durs.tolist()
 
 
 def test_lora_emission_is_whole_channel(monkeypatch):
-    _, (key, start, end) = _run_drawn(monkeypatch, _scenario("DR0", 10, 1, 3_600_000, 0),
-                                      [50, 3000])
+    _, [(key, start, end)] = _run_drawn(monkeypatch, _scenario("DR0", 10, 1, 3_600_000, 0),
+                                        [50, 3000])
     assert key.tolist() == [0, 0]
     assert start.tolist() == [50, 3000]
     assert end.tolist() == [50 + 992, 3000 + 992]
@@ -296,11 +298,70 @@ def test_single_device_all_decoded():
 @pytest.mark.parametrize("dr, payload, devices", [
     ("DR8", 10, 40), ("DR8", 58, 25), ("DR9", 10, 40), ("DR9", 123, 15),
     ("DR0", 10, 60), ("DR5", 50, 80),
+    # 30 s of US915: a few dozen packets over 52 grids, so most grids are
+    # empty or hold one packet.
+    ("US915 DR5", 10, 1), ("US915 DR5", 10, 4),
 ])
 def test_run_equals_reference(dr, payload, devices):
+    region, _, dr = dr.rpartition(" ")
+    horizon_ms = 30_000 if region else 3_600_000
     for seed in (0, 1, 2):
-        scenario = _scenario(dr, payload, devices, 3_600_000, seed)
+        scenario = _scenario(dr, payload, devices, horizon_ms, seed, region or EU868)
         assert run(scenario) == oracles.reference_run(scenario)
+
+
+@pytest.mark.parametrize("region, dr, grids", [
+    (EU868, "DR8", [3] * 80),                    # every packet on one grid
+    (EU868, "DR9", [1, 2, 3, 4, 5, 6] * 12),     # grids 0 and 7 empty
+    (US915, "DR5", [51] * 80),
+    (US915, "DR5", list(range(1, 51, 7)) * 12),  # grids 0 and 51 empty
+])
+def test_lopsided_grids_equal_reference(monkeypatch, region, dr, grids):
+    rng = np.random.default_rng(9)
+    starts = rng.integers(0, 4_000, len(grids)).tolist()   # crowded: many collisions
+    seeds = rng.integers(0, 2 ** 16, len(grids)).tolist()
+    scenario = _scenario(dr, 10, 1, 3_600_000, seed=0, region=region)
+    result, calls = _run_drawn(monkeypatch, scenario, starts, seeds, grids)
+    assert len(calls) == len(set(grids))
+    assert result == oracles.reference_run(scenario, [(starts, seeds, grids)])
+    assert 0 < result.decoded_packets < result.generated_packets
+
+
+def test_each_collision_call_holds_one_grid(monkeypatch):
+    # Memory bound: a call lays out one grid's packets x hops, never more
+    # than the busiest grid, and the calls cover every emission once.
+    scenario = _scenario("DR5", 10, 3, 30_000, seed=4, region=US915)
+    start, _, grids = engine._draw_packets(scenario)
+    hops = len(_lorae_template(scenario.profile, 10)[1])
+    per_grid = np.bincount(grids, minlength=scenario.plan.num_grids)
+    calls = []
+
+    def collide(key, start, end):
+        calls.append(start)
+        return _collide_arrays(key, start, end)
+
+    monkeypatch.setattr(engine, "_collide_arrays", collide)
+    result = run(scenario)
+    busy = [g for g in range(scenario.plan.num_grids) if per_grid[g]]
+    assert len(calls) == len(busy) < scenario.plan.num_grids
+    for grid, em_start in zip(busy, calls):
+        assert em_start.size == per_grid[grid] * hops
+        # Hop-major: the first hop of each packet is the packet's start.
+        assert em_start[:per_grid[grid]].tolist() == start[grids == grid].tolist()
+    assert sum(c.size for c in calls) == start.size * hops == result.generated_packets * hops
+    assert max(c.size for c in calls) == per_grid.max() * hops
+
+
+def test_memory_guard_refuses_before_drawing(monkeypatch):
+    def draw(_):
+        raise AssertionError("packets drawn")
+
+    monkeypatch.setattr(engine, "_draw_packets", draw)
+    scenario = _scenario("DR5", 10, 200, 10 ** 5 * 3_600_000, seed=0, region=US915)
+    packets = scenario.offered_load_pkts_per_hour() * 10 ** 5
+    with pytest.raises(ScenarioConfigError, match=re.escape(f"about {packets:.4g} packets")
+                       + r" would need .* B at \d+ B a packet, over the .* B of physical memory"):
+        run(scenario)
 
 
 # --- run invariants -----------------------------------------------------------
@@ -358,3 +419,15 @@ def test_csv_row_order():
                            "decoded_pkts_h", "goodput_B_h", "loss_header",
                            "loss_payload", "loss_collision", "seed"]
     assert row[0] == 3 and row[1] == "DR9" and row[2] == "10" and row[-1] == 1
+
+
+def test_memory_guard_compares_bytes_with_physical_memory(monkeypatch):
+    scenario = _scenario("DR5", 10, 3, 30_000, seed=4, region=US915)
+    need = scenario.offered_load_pkts_per_hour() * 30_000 / 3_600_000 * engine._BYTES_PER_PACKET
+    for pages, fits in ((int(need) + 1, True), (int(need) - 1, False)):
+        monkeypatch.setattr(engine.os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": pages}.get)
+        if fits:
+            assert run(scenario).generated_packets > 0
+        else:
+            with pytest.raises(ScenarioConfigError, match="physical memory"):
+                run(scenario)
