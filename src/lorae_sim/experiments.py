@@ -4,7 +4,8 @@ A sweep simulates every (data rate, payload, device count, replication)
 combination on one shared channel and aggregates replications into mean
 and sample standard deviation per point.  Each point derives its own seed
 from the master seed and the point coordinates, so results are independent
-of sweep composition and order.
+of sweep composition and order, and points can run in worker processes, one
+per CPU the process may use, with results identical to an in-process run.
 
 Crossovers compare LoRa against LoRa-E goodput as functions of offered
 load (generated packets per hour, device count x duty-cycle-max rate) and
@@ -15,9 +16,11 @@ capacity scales a measured per-channel peak load by the number of channels
 
 from __future__ import annotations
 
-import math
+import itertools
+import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from statistics import mean, stdev
 from typing import Iterable, Sequence
@@ -125,19 +128,48 @@ def build_scenario(region: str, dr: str, payload_bytes: int, devices: int,
     return Scenario(devices=configs, horizon_ms=horizon_ms, master_seed=seed)
 
 
+def _run_point(spec: SweepSpec, dr: str, payload_bytes: int, devices: int,
+              replication: int) -> ScenarioResult:
+    """Simulate one sweep point; its result depends on its coordinates alone."""
+    seed = point_seed(spec.master_seed, spec.region, dr, payload_bytes, devices,
+                      replication)
+    return run(build_scenario(spec.region, dr, payload_bytes, devices,
+                              spec.horizon_ms, seed))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sweep(spec: SweepSpec) -> list[ScenarioResult]:
-    """One ScenarioResult per (dr, payload, devices, replication), sorted."""
-    results: list[ScenarioResult] = []
-    for dr in spec.dr_aliases:
-        for payload in spec.payload_bytes:
-            for count in spec.device_counts:
-                for rep in range(spec.replications):
-                    seed = point_seed(spec.master_seed, spec.region, dr,
-                                      payload, count, rep)
-                    scenario = build_scenario(spec.region, dr, payload, count,
-                                              spec.horizon_ms, seed)
-                    results.append(run(scenario))
-    return results
+    """One ScenarioResult per (dr, payload, devices, replication), sorted.
+
+    Points run in a pool of ``min(points, _usable_cpus())`` worker processes,
+    or in this process when that is 1.  Each point's seed comes from its own
+    coordinates, so the results are the same either way.  The first point
+    that raises cancels the points not yet started, and its exception
+    propagates.
+    """
+    points = list(itertools.product(spec.dr_aliases, spec.payload_bytes,
+                                    spec.device_counts, range(spec.replications)))
+    workers = min(len(points), _usable_cpus())
+    if workers <= 1:
+        return [_run_point(spec, *point) for point in points]
+    # Imported here to keep it out of the package's import time.  The pool
+    # uses the platform's default start method; on Linux that is fork, so
+    # workers inherit the imported modules instead of importing them again.
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers) as pool:
+        try:
+            return list(pool.map(partial(_run_point, spec), *zip(*points)))
+        except BaseException:
+            # Cancel the points not yet started before `with` waits for the
+            # running ones.
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def aggregate(spec: SweepSpec, results: Iterable[ScenarioResult]) -> list[AggregatePoint]:
@@ -171,19 +203,6 @@ def per_device_rate(region: str, dr: str, payload_bytes: int) -> float:
     return max_packet_rate(plan, time_on_air(profile, payload_bytes))
 
 
-def _goodput_curve(spec: SweepSpec, dr: str, payload: int
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(loads, mean goodputs) over spec.device_counts for one DR."""
-    one = SweepSpec(region=spec.region, dr_aliases=(dr,), payload_bytes=(payload,),
-                    device_counts=spec.device_counts, horizon_ms=spec.horizon_ms,
-                    replications=spec.replications, master_seed=spec.master_seed)
-    points = aggregate(one, sweep(one))
-    points.sort(key=lambda p: p.devices)
-    loads = np.array([p.offered_pkts_per_hour for p in points])
-    goodputs = np.array([p.mean_goodput_bytes_per_hour for p in points])
-    return loads, goodputs
-
-
 def crossover_load(query: CrossoverQuery,
                    lora_curve: tuple[np.ndarray, np.ndarray],
                    lorae_curve: tuple[np.ndarray, np.ndarray]) -> float:
@@ -213,10 +232,21 @@ def crossover_load(query: CrossoverQuery,
 
 
 def find_crossover(query: CrossoverQuery, spec: SweepSpec) -> CrossoverResult:
-    """Smallest load at which LoRa-E mean goodput exceeds LoRa's."""
-    lora_curve = _goodput_curve(spec, query.lora_dr, query.payload_bytes)
-    lorae_curve = _goodput_curve(spec, query.lorae_dr, query.payload_bytes)
-    load = crossover_load(query, lora_curve, lorae_curve)
+    """Smallest load at which LoRa-E mean goodput exceeds LoRa's.
+
+    Both data rates run in one sweep of ``spec.device_counts``; each curve
+    is its DR's (offered load, mean goodput) points in device order.
+    """
+    both = replace(spec, dr_aliases=(query.lora_dr, query.lorae_dr),
+                   payload_bytes=(query.payload_bytes,))
+    points = aggregate(both, sweep(both))
+
+    def curve(dr: str) -> tuple[np.ndarray, np.ndarray]:
+        rows = [p for p in points if p.dr == dr]   # aggregate sorts by devices
+        return (np.array([p.offered_pkts_per_hour for p in rows]),
+                np.array([p.mean_goodput_bytes_per_hour for p in rows]))
+
+    load = crossover_load(query, curve(query.lora_dr), curve(query.lorae_dr))
     return CrossoverResult(load_pkts_per_hour=load, query=query)
 
 

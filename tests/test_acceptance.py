@@ -15,8 +15,9 @@ import pytest
 
 from lorae_sim.engine import run
 from lorae_sim.experiments import (CrossoverNotFound, CrossoverQuery, SweepSpec,
-                                   aggregate, aggregate_capacity, find_crossover,
-                                   peak_point, per_device_rate, sweep)
+                                   _usable_cpus, aggregate, aggregate_capacity,
+                                   find_crossover, peak_point, per_device_rate,
+                                   sweep)
 from lorae_sim.hopping import SEED_COUNT, hop_hash_array, slot_matrix
 from lorae_sim.params import (EU868, US915, dr_profile, lorae_fragment_count,
                               lorae_time_on_air, regional_plan)
@@ -99,7 +100,7 @@ def test_criterion_3_lora_saturation():
         if not ok:
             failures.append(f"{dr} peak at {peak.devices} devices vs 50 +/- 15")
     elapsed = time.monotonic() - t0
-    print(f"  runtime {elapsed:.1f} s (budget 60 s)")
+    print(f"  runtime {elapsed:.1f} s on {_usable_cpus()} CPUs (budget 60 s)")
     if elapsed > 60:
         failures.append(f"runtime {elapsed:.1f} s exceeds 60 s")
     _finish("criterion 3 (LoRa saturation)", failures)
@@ -147,7 +148,7 @@ def test_criterion_4_lorae_peaks(lorae_peak_curves):
         print("  DR8 never exceeds DR9 over the swept range")
     else:
         _check(failures, "DR8 exceeds DR9 from devices", threshold, 16_000, 0.15)
-    print(f"  runtime {elapsed:.1f} s (budget 900 s)")
+    print(f"  runtime {elapsed:.1f} s on {_usable_cpus()} CPUs (budget 900 s)")
     if elapsed > 900:
         failures.append(f"runtime {elapsed:.1f} s exceeds 900 s")
     _finish("criterion 4 (LoRa-E peaks)", failures)

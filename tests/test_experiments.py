@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from lorae_sim import experiments
+from lorae_sim.engine import ScenarioConfigError, run
 from lorae_sim.experiments import (AGGREGATE_COLUMNS, AggregatePoint,
                                    CrossoverNotFound, CrossoverQuery, SweepSpec,
-                                   aggregate, aggregate_capacity, crossover_load,
-                                   default_capacity_counts, emit, emit_aggregate,
-                                   emit_results, log_spaced_counts, peak_point,
-                                   per_device_rate, point_seed, sweep)
+                                   aggregate, aggregate_capacity, build_scenario,
+                                   crossover_load, default_capacity_counts, emit,
+                                   emit_aggregate, emit_results, find_crossover,
+                                   log_spaced_counts, peak_point, per_device_rate,
+                                   point_seed, sweep)
 
 
 def _spec(**overrides) -> SweepSpec:
@@ -74,6 +80,96 @@ def test_aggregate_mean_and_std():
     goodputs = [r.goodput_bytes_per_hour for r in rows]
     assert point.mean_goodput_bytes_per_hour == pytest.approx(np.mean(goodputs))
     assert point.std_goodput_bytes_per_hour == pytest.approx(np.std(goodputs, ddof=1))
+
+
+# --- worker pool ----------------------------------------------------------------
+
+def _per_point_runs(spec: SweepSpec) -> list:
+    """The sweep's expected results: one in-process run per point, in order."""
+    return [run(build_scenario(spec.region, dr, payload, count, spec.horizon_ms,
+                               point_seed(spec.master_seed, spec.region, dr,
+                                          payload, count, rep)))
+            for dr in spec.dr_aliases for payload in spec.payload_bytes
+            for count in spec.device_counts for rep in range(spec.replications)]
+
+
+def _refuse_pool(*args, **kwargs):
+    raise AssertionError("sweep started a process pool")
+
+
+def test_usable_cpus_follows_affinity(monkeypatch):
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert experiments._usable_cpus() == 1
+    monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 6)
+    assert experiments._usable_cpus() == 6
+
+
+def test_pooled_sweep_equals_per_point_runs(monkeypatch):
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    spec = _spec(dr_aliases=("DR0", "DR8"), device_counts=(3, 12), replications=2)
+    got = sweep(spec)
+    assert pools == [2]
+    expected = _per_point_runs(spec)
+    assert len(got) == len(expected) == 8
+    for i, (a, b) in enumerate(zip(got, expected)):
+        assert a == b, f"point {i}: {a} != {b}"
+    assert len({r.master_seed for r in got}) == 8
+
+
+@pytest.mark.parametrize("cpus, drs, counts, replications", [
+    (1, ("DR0", "DR8"), (3, 12), 2),   # one usable CPU
+    (2, ("DR8",), (3,), 1),            # one point
+])
+def test_sweep_stays_in_process(monkeypatch, cpus, drs, counts, replications):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_pool)
+    spec = _spec(dr_aliases=drs, device_counts=counts, replications=replications)
+    assert sweep(spec) == _per_point_runs(spec)
+
+
+def test_pooled_sweep_reraises_a_worker_error(monkeypatch):
+    # 200 US915 DR5 devices over 10^5 h trip run's memory guard before drawing.
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    spec = _spec(region="US915", dr_aliases=("DR5",), device_counts=(200,),
+                 horizon_ms=10 ** 5 * 3_600_000, replications=2)
+    with pytest.raises(ScenarioConfigError, match="physical memory"):
+        sweep(spec)
+
+
+def test_find_crossover_runs_one_sweep_with_both_curves(monkeypatch):
+    # The query's DRs and payload replace the spec's; each curve equals
+    # the aggregate of a sweep of its DR alone.
+    spec = _spec(dr_aliases=("DR5",), payload_bytes=(50,), device_counts=(2, 8, 30))
+    curves = {}
+    for dr in ("DR0", "DR8"):
+        one = replace(spec, dr_aliases=(dr,), payload_bytes=(10,))
+        curves[dr] = aggregate(one, sweep(one))
+    specs, seen = [], []
+
+    def recording_sweep(one):
+        specs.append(one)
+        return sweep(one)
+
+    def recording_crossover(q, lora, lorae):
+        seen.extend([lora, lorae])
+        return 1.0
+
+    monkeypatch.setattr(experiments, "sweep", recording_sweep)
+    monkeypatch.setattr(experiments, "crossover_load", recording_crossover)
+    assert find_crossover(_query(), spec).load_pkts_per_hour == 1.0
+    assert [(s.dr_aliases, s.payload_bytes) for s in specs] == [(("DR0", "DR8"), (10,))]
+    for (loads, goodputs), dr in zip(seen, ("DR0", "DR8")):
+        assert loads.tolist() == [p.offered_pkts_per_hour for p in curves[dr]]
+        assert goodputs.tolist() == [p.mean_goodput_bytes_per_hour for p in curves[dr]]
 
 
 # --- per-device rates ----------------------------------------------------------
