@@ -236,6 +236,16 @@ def _aggregate(scenario: Scenario, outcomes: dict[Outcome, int]) -> ScenarioResu
     )
 
 
+def expected_bytes(packets_per_hour: float, horizon_ms: int) -> float:
+    """Peak memory a run is expected to need: its expected packets x 55 B."""
+    return packets_per_hour * horizon_ms / 3_600_000 * _BYTES_PER_PACKET
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def run(scenario: Scenario) -> ScenarioResult:
     """Simulate one scenario deterministically and return its counters.
 
@@ -243,11 +253,11 @@ def run(scenario: Scenario) -> ScenarioResult:
     packet count (offered load x horizon) would need more than the
     machine's physical memory.
     """
-    packets = scenario.offered_load_pkts_per_hour() * scenario.horizon_ms / 3_600_000
-    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if packets * _BYTES_PER_PACKET > limit:
+    need = expected_bytes(scenario.offered_load_pkts_per_hour(), scenario.horizon_ms)
+    limit = physical_memory()
+    if need > limit:
         raise ScenarioConfigError(
-            f"about {packets:.4g} packets would need {packets * _BYTES_PER_PACKET:.4g} B "
+            f"about {need / _BYTES_PER_PACKET:.4g} packets would need {need:.4g} B "
             f"at {_BYTES_PER_PACKET} B a packet, over the {limit:.4g} B of physical memory")
     start, seeds, grids = _draw_packets(scenario)
     if scenario.profile.family == LORA:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 import zlib
 from dataclasses import dataclass, replace
 from functools import partial
@@ -27,6 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import engine, hopping, params, traffic
 from .engine import DEFAULT_HORIZON_MS, Outcome, Scenario, ScenarioResult, run
 from .params import (LORA, LORA_DR_COUNT_EU, DataRateProfile, RegionalPlan,
                      dr_profile, max_packet_rate, regional_plan, time_on_air)
@@ -144,32 +146,54 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _point_namespace() -> dict[tuple[str, str], object]:
+    """Every function and class a sweep point can look up, by module and name."""
+    return {(module.__name__, name): value
+            for module in (engine, hopping, params, traffic, sys.modules[__name__])
+            for name, value in vars(module).items() if callable(value)}
+
+
+def _pool_size(spec: SweepSpec, points: int) -> int:
+    """Worker processes for a sweep's points; 1 runs them in this process.
+
+    One per usable CPU, but no more than there are points, and no more
+    than physical memory holds at once by ``run``'s own estimate for the
+    largest point.  Also 1 when a function a point looks up is no longer
+    the one defined at import (a tracer, a profiler or a mock put another
+    in its place): what a replacement records in a worker never reaches
+    this process.
+    """
+    workers = min(points, _usable_cpus())
+    if workers <= 1 or _point_namespace() != _AS_DEFINED:
+        return 1
+    largest = max(engine.expected_bytes(per_device_rate(spec.region, dr, payload)
+                                        * max(spec.device_counts), spec.horizon_ms)
+                  for dr in spec.dr_aliases for payload in spec.payload_bytes)
+    return max(1, min(workers, int(engine.physical_memory() // largest)))
+
+
 def sweep(spec: SweepSpec) -> list[ScenarioResult]:
     """One ScenarioResult per (dr, payload, devices, replication), sorted.
 
-    Points run in a pool of ``min(points, _usable_cpus())`` worker processes,
-    or in this process when that is 1.  Each point's seed comes from its own
+    Points run in a pool of ``_pool_size`` worker processes, or in this
+    process when that is 1.  Each point's seed comes from its own
     coordinates, so the results are the same either way.  The first point
     that raises cancels the points not yet started, and its exception
     propagates.
     """
     points = list(itertools.product(spec.dr_aliases, spec.payload_bytes,
                                     spec.device_counts, range(spec.replications)))
-    workers = min(len(points), _usable_cpus())
-    if workers <= 1:
+    workers = _pool_size(spec, len(points))
+    if workers == 1:
         return [_run_point(spec, *point) for point in points]
-    # Imported here to keep it out of the package's import time.  The pool
-    # uses the platform's default start method; on Linux that is fork, so
+    # Imported here to keep them out of the package's import time.  Forked
     # workers inherit the imported modules instead of importing them again.
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(workers) as pool:
-        try:
-            return list(pool.map(partial(_run_point, spec), *zip(*points)))
-        except BaseException:
-            # Cancel the points not yet started before `with` waits for the
-            # running ones.
-            pool.shutdown(cancel_futures=True)
-            raise
+    context = (multiprocessing.get_context("fork")
+               if "fork" in multiprocessing.get_all_start_methods() else None)
+    with ProcessPoolExecutor(workers, context) as pool:
+        return list(pool.map(partial(_run_point, spec), *zip(*points)))
 
 
 def aggregate(spec: SweepSpec, results: Iterable[ScenarioResult]) -> list[AggregatePoint]:
@@ -349,3 +373,7 @@ def default_capacity_counts(region: str, dr: str, payload_bytes: int) -> tuple[i
         base = {round(n * f) for f in (0.35, 0.7, 1.0, 1.1, 1.2, 1.4, 2.0)}
         return tuple(sorted(max(1, c) for c in base))
     return log_spaced_counts(500, 32_000, 13)
+
+
+# Taken last, once every name above is bound.
+_AS_DEFINED = _point_namespace()

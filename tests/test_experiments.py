@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import concurrent.futures
+import functools
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lorae_sim import experiments
+from lorae_sim import engine, experiments
 from lorae_sim.engine import ScenarioConfigError, run
 from lorae_sim.experiments import (AGGREGATE_COLUMNS, AggregatePoint,
                                    CrossoverNotFound, CrossoverQuery, SweepSpec,
@@ -97,6 +99,26 @@ def _refuse_pool(*args, **kwargs):
     raise AssertionError("sweep started a process pool")
 
 
+class _RecordingPool(concurrent.futures.ProcessPoolExecutor):
+    sizes: list[int] = []
+
+    def __init__(self, workers, context=None, **kwargs):
+        self.sizes.append(workers)
+        super().__init__(workers, context, **kwargs)
+
+
+def _set_cpus(monkeypatch, cpus: int) -> None:
+    # Faked at the OS call: replacing a lorae_sim function would itself
+    # keep the sweep in-process.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _pool_sizes(monkeypatch, pool=_RecordingPool) -> list[int]:
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    return _RecordingPool.sizes
+
+
 def test_usable_cpus_follows_affinity(monkeypatch):
     monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {3}, raising=False)
     assert experiments._usable_cpus() == 1
@@ -106,15 +128,8 @@ def test_usable_cpus_follows_affinity(monkeypatch):
 
 
 def test_pooled_sweep_equals_per_point_runs(monkeypatch):
-    pools = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, workers):
-            pools.append(workers)
-            super().__init__(workers)
-
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    _set_cpus(monkeypatch, 2)
+    pools = _pool_sizes(monkeypatch)
     spec = _spec(dr_aliases=("DR0", "DR8"), device_counts=(3, 12), replications=2)
     got = sweep(spec)
     assert pools == [2]
@@ -130,19 +145,68 @@ def test_pooled_sweep_equals_per_point_runs(monkeypatch):
     (2, ("DR8",), (3,), 1),            # one point
 ])
 def test_sweep_stays_in_process(monkeypatch, cpus, drs, counts, replications):
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    _set_cpus(monkeypatch, cpus)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_pool)
     spec = _spec(dr_aliases=drs, device_counts=counts, replications=replications)
     assert sweep(spec) == _per_point_runs(spec)
 
 
+def test_instrumented_sweep_stays_in_process(monkeypatch):
+    # A wrapper put in place of a function a point calls sees every point.
+    _set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_pool)
+    calls, collide = [], engine._collide_arrays
+
+    @functools.wraps(collide)
+    def counting(*args):
+        calls.append(args[0].size)
+        return collide(*args)
+
+    monkeypatch.setattr(engine, "_collide_arrays", counting)
+    spec = _spec(dr_aliases=("DR0", "DR8"), device_counts=(3, 12), replications=2)
+    assert sweep(spec) == _per_point_runs(spec)
+    monkeypatch.undo()
+    assert len(calls) > 8 and experiments._point_namespace() == experiments._AS_DEFINED
+
+
+def test_pool_size_fits_physical_memory(monkeypatch):
+    # Workers x the largest point's expected bytes stay within memory.
+    _set_cpus(monkeypatch, 2)
+    pools = _pool_sizes(monkeypatch)
+    spec = _spec(dr_aliases=("DR0", "DR8"), device_counts=(3, 12), replications=2)
+    largest = max(engine.expected_bytes(per_device_rate("EU868", dr, 10) * 12,
+                                        spec.horizon_ms) for dr in ("DR0", "DR8"))
+    for pages, size in ((int(largest) - 1, 1), (int(2 * largest) - 1, 1),
+                        (int(2 * largest) + 1, 2)):
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": pages}.get)
+        assert experiments._pool_size(spec, 8) == size
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1,
+                                        "SC_PHYS_PAGES": int(2 * largest) - 1}.get)
+    assert sweep(spec) == _per_point_runs(spec)
+    assert pools == []
+
+
+def _fail_points() -> None:
+    """Pool initializer: every point run in this worker raises."""
+    def fail(scenario):
+        raise ValueError(f"point with seed {scenario.master_seed} failed")
+
+    experiments.run = fail
+
+
+class _FailingPool(_RecordingPool):
+    def __init__(self, workers, context=None):
+        super().__init__(workers, context, initializer=_fail_points)
+
+
 def test_pooled_sweep_reraises_a_worker_error(monkeypatch):
-    # 200 US915 DR5 devices over 10^5 h trip run's memory guard before drawing.
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-    spec = _spec(region="US915", dr_aliases=("DR5",), device_counts=(200,),
-                 horizon_ms=10 ** 5 * 3_600_000, replications=2)
-    with pytest.raises(ScenarioConfigError, match="physical memory"):
+    _set_cpus(monkeypatch, 2)
+    pools = _pool_sizes(monkeypatch, _FailingPool)
+    spec = _spec(dr_aliases=("DR0", "DR8"), device_counts=(3, 12), replications=2)
+    with pytest.raises(ValueError, match=r"point with seed \d+ failed"):
         sweep(spec)
+    assert pools == [2]
+    assert experiments.run is run
 
 
 def test_find_crossover_runs_one_sweep_with_both_curves(monkeypatch):
