@@ -4,158 +4,125 @@ Subcommands: ``params`` (channel-plan and timing table), ``toa`` (airtime
 calculator), ``sweep`` (goodput vs device count), ``crossover`` (LoRa vs
 LoRa-E goodput crossing load) and ``capacity`` (network-wide peak).
 
-Every run option can also come from a flat ``key=value`` config file
-(``--config``); command-line flags override file values.  Exit status is
-nonzero on any error.
+Each option is declared once, with its type.  A flat ``key = value`` config
+file (``--config``) names long options by key: each line becomes
+``--key=value`` ahead of the command-line flags, so flags override file
+values, and a key that only another subcommand takes is ignored.  Exit
+status is 1 when no crossover is bracketed and 2 on any other error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
-from . import experiments, params
-from .engine import DEFAULT_HORIZON_MS
-from .experiments import (CrossoverNotFound, CrossoverQuery, SweepSpec, aggregate,
-                          aggregate_capacity, default_capacity_counts, emit_aggregate,
-                          emit_results, find_crossover, log_spaced_counts, peak_point,
-                          per_device_rate, sweep)
+from . import params
+from .experiments import (AGGREGATE_COLUMNS, CrossoverNotFound, CrossoverQuery, SweepSpec,
+                          aggregate, aggregate_capacity, aggregate_row, csv_text,
+                          default_capacity_counts, emit, emit_aggregate, emit_results,
+                          find_crossover, log_spaced_counts, peak_point, sweep)
 from .params import dr_profile, regional_plan
 
-_CONFIG_KEYS = {"region", "dr", "payload", "devices", "devices_log", "horizon_ms",
-                "replications", "seed", "out", "aggregate_out", "lora_dr", "lorae_dr"}
+# Run options whose defaults are SweepSpec's; only those given are passed on.
+_RUN_OPTIONS = {"horizon_ms": ("--horizon-ms", "simulated horizon in ms"),
+                "replications": ("--replications", "seeds per point"),
+                "master_seed": ("--seed", "master seed")}
 
 
 class CliError(Exception):
     pass
 
 
-def _read_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value
-    return values
+class _Parser(argparse.ArgumentParser):
+    """Raises every usage error as ``ArgumentError`` instead of exiting.
+
+    ``exit_on_error=False`` alone still exits on a missing required option
+    or an unrecognised flag (Python 3.11), so ``error`` raises instead.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        raise argparse.ArgumentError(None, message)
 
 
-def _resolve(args: argparse.Namespace, key: str, default: str | None = None) -> str | None:
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return str(flag)
-    return args.config_values.get(key, default)
-
-
-def _require(args: argparse.Namespace, key: str) -> str:
-    value = _resolve(args, key)
-    if value is None:
-        raise CliError(f"missing required option --{key.replace('_', '-')}")
-    return value
-
-
-def _int_list(text: str, what: str) -> tuple[int, ...]:
+def _int_list(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise CliError(f"{what} must be comma-separated integers, got {text!r}") from None
+        values = ()
     if not values:
-        raise CliError(f"{what} must not be empty")
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     return values
 
 
-def _device_counts(args: argparse.Namespace) -> tuple[int, ...]:
-    log_range = _resolve(args, "devices_log")
-    if log_range is not None:
-        parts = log_range.split(":")
-        if len(parts) != 3:
-            raise CliError(f"--devices-log expects lo:hi:n, got {log_range!r}")
-        lo, hi, n = (int(p) for p in parts)
+def _log_counts(text: str) -> tuple[int, ...]:
+    try:
+        lo, hi, n = (int(part) for part in text.split(":"))
         return log_spaced_counts(lo, hi, n)
-    return _int_list(_require(args, "devices"), "devices")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected lo:hi:n with 1 <= lo <= hi and n >= 1, got {text!r}") from None
 
 
-def _sweep_spec(args: argparse.Namespace, dr_aliases: tuple[str, ...]) -> SweepSpec:
-    return SweepSpec(
-        region=_resolve(args, "region", "EU868"),
-        dr_aliases=dr_aliases,
-        payload_bytes=_int_list(_require(args, "payload"), "payload"),
-        device_counts=_device_counts(args),
-        horizon_ms=int(_resolve(args, "horizon_ms", str(DEFAULT_HORIZON_MS))),
-        replications=int(_resolve(args, "replications", "3")),
-        master_seed=int(_resolve(args, "seed", "0")),
-    )
+def _dr_list(text: str) -> tuple[str, ...]:
+    return tuple(text.upper().split(","))
+
+
+def _sweep_spec(args: argparse.Namespace, dr_aliases: tuple[str, ...],
+                payload_bytes: tuple[int, ...]) -> SweepSpec:
+    if args.devices is None:
+        raise CliError("missing required option --devices or --devices-log")
+    given = {dest: value for dest, value in vars(args).items() if dest in _RUN_OPTIONS}
+    return SweepSpec(args.region, dr_aliases, payload_bytes, args.devices, **given)
 
 
 def _cmd_params(args: argparse.Namespace) -> int:
     rows = params.provenance_rows()
-    region = _resolve(args, "region")
-    if region is not None:
-        rows = [r for r in rows if r["region"] == region]
+    if args.region is not None:
+        rows = [row for row in rows if row[0] == args.region]   # column 0: region
         if not rows:
-            raise CliError(f"unknown region {region!r}")
-    out = _resolve(args, "out")
-    if out is None:
-        params.write_provenance_csv(sys.stdout, rows)
+            raise CliError(f"unknown region {args.region!r}")
+    if args.out is None:
+        print(csv_text(params.PROVENANCE_COLUMNS, rows), end="")
     else:
-        with open(out, "w", encoding="ascii") as stream:
-            params.write_provenance_csv(stream, rows)
+        emit(args.out, params.PROVENANCE_COLUMNS, rows)
     return 0
 
 
 def _cmd_toa(args: argparse.Namespace) -> int:
-    region = _resolve(args, "region", "EU868")
-    dr = _require(args, "dr").upper()
-    profile = dr_profile(region, dr)
-    plan = regional_plan(region, dr)
-    for payload in _int_list(_require(args, "payload"), "payload"):
+    profile = dr_profile(args.region, args.dr)
+    plan = regional_plan(args.region, args.dr)
+    for payload in args.payload:
         toa = params.time_on_air(profile, payload)
         frags = (params.lorae_fragment_count(profile, payload)
                  if profile.family == params.LORA_E else 0)
         rate = params.max_packet_rate(plan, toa)
-        print(f"region={region} dr={dr} payload_B={payload} family={profile.family} "
+        print(f"region={args.region} dr={args.dr} payload_B={payload} family={profile.family} "
               f"toa_ms={toa:.3f} fragments={frags} max_rate_pkts_h={rate:.3f}")
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    aliases = tuple(a.upper() for a in _require(args, "dr").split(","))
-    spec = _sweep_spec(args, aliases)
+    spec = _sweep_spec(args, args.dr, args.payload)
     results = sweep(spec)
     points = aggregate(spec, results)
-    out = _resolve(args, "out")
-    if out is not None:
-        emit_results(results, out)
-        print(f"wrote {len(results)} rows to {out}")
-    agg_out = _resolve(args, "aggregate_out")
-    if agg_out is not None:
-        emit_aggregate(points, agg_out)
-        print(f"wrote {len(points)} aggregate points to {agg_out}")
-    if out is None and agg_out is None:
-        print(",".join(experiments.AGGREGATE_COLUMNS))
-        for p in points:
-            print(f"{p.devices},{p.dr},{p.payload_bytes},{p.offered_pkts_per_hour:.3f},"
-                  f"{p.mean_goodput_bytes_per_hour:.3f},{p.std_goodput_bytes_per_hour:.3f},"
-                  f"{p.mean_decoded_pkts_per_hour:.3f},{p.std_decoded_pkts_per_hour:.3f},"
-                  f"{p.replications}")
+    if args.out is not None:
+        emit_results(results, args.out)
+        print(f"wrote {len(results)} rows to {args.out}")
+    if args.aggregate_out is not None:
+        emit_aggregate(points, args.aggregate_out)
+        print(f"wrote {len(points)} aggregate points to {args.aggregate_out}")
+    if args.out is None and args.aggregate_out is None:
+        print(csv_text(AGGREGATE_COLUMNS, map(aggregate_row, points)), end="")
     return 0
 
 
 def _cmd_crossover(args: argparse.Namespace) -> int:
-    query = CrossoverQuery(
-        lora_dr=_require(args, "lora_dr").upper(),
-        lorae_dr=_require(args, "lorae_dr").upper(),
-        payload_bytes=int(_require(args, "payload")),
-        region=_resolve(args, "region", "EU868"),
-    )
-    result = find_crossover(query, _sweep_spec(args, (query.lora_dr, query.lorae_dr)))
+    query = CrossoverQuery(args.lora_dr, args.lorae_dr, args.payload)
+    result = find_crossover(query, _sweep_spec(args, (query.lora_dr, query.lorae_dr),
+                                               (query.payload_bytes,)))
     print(f"crossover_pkts_h={result.load_pkts_per_hour:.1f} "
           f"lora_dr={query.lora_dr} lorae_dr={query.lorae_dr} "
           f"payload_B={query.payload_bytes}")
@@ -163,16 +130,13 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
-    region = _resolve(args, "region", "EU868")
-    dr = _require(args, "dr").upper()
-    payload = int(_require(args, "payload"))
-    if _resolve(args, "devices") is None and _resolve(args, "devices_log") is None:
-        args.devices = ",".join(map(str, default_capacity_counts(region, dr, payload)))
-    spec = _sweep_spec(args, (dr,))
+    if args.devices is None:
+        args.devices = default_capacity_counts(args.region, args.dr, args.payload)
+    spec = _sweep_spec(args, (args.dr,), (args.payload,))
     points = aggregate(spec, sweep(spec))
     peak = peak_point(points)
-    capacity = aggregate_capacity(region, dr, peak.offered_pkts_per_hour)
-    print(f"region={region} dr={dr} payload_B={payload} "
+    capacity = aggregate_capacity(args.region, args.dr, peak.offered_pkts_per_hour)
+    print(f"region={args.region} dr={args.dr} payload_B={args.payload} "
           f"peak_devices={peak.devices} "
           f"per_channel_peak_pkts_h={peak.offered_pkts_per_hour:.1f} "
           f"peak_goodput_B_h={peak.mean_goodput_bytes_per_hour:.1f} "
@@ -180,74 +144,108 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--region", help="regulatory region (default EU868)")
-
-
 def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--devices", help="comma-separated device counts")
-    parser.add_argument("--devices-log", dest="devices_log",
-                        help="log-spaced device counts as lo:hi:n")
-    parser.add_argument("--horizon-ms", dest="horizon_ms", type=int,
-                        help="simulated horizon in ms (default 4 h)")
-    parser.add_argument("--replications", type=int, help="seeds per point (default 3)")
-    parser.add_argument("--seed", type=int, help="master seed (default 0)")
+    parser.add_argument("--devices", type=_int_list, help="comma-separated device counts")
+    parser.add_argument("--devices-log", dest="devices", type=_log_counts,
+                        metavar="LO:HI:N", help="log-spaced device counts")
+    defaults = {field.name: field.default for field in fields(SweepSpec)}
+    for dest, (flag, what) in _RUN_OPTIONS.items():
+        parser.add_argument(flag, dest=dest, type=int, default=argparse.SUPPRESS,
+                            metavar=flag[2:].upper(), help=f"{what} (default {defaults[dest]})")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lorae-sim",
-        description="LoRa / LoRa-E uplink capacity simulator")
+    parser = _Parser(prog="lorae-sim",
+                     description="LoRa / LoRa-E uplink capacity simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("params", help="dump channel plans and timing figures as CSV")
-    _add_common(p)
+    def command(name: str, summary: str, func, region: str | None = params.EU868):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", help="flat key = value file of long options")
+        p.add_argument("--region", default=region,
+                       help=f"regulatory region (default {region or 'all'})")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("params", "dump channel plans and timing figures as CSV", _cmd_params,
+                region=None)
     p.add_argument("--out", help="output CSV path (default stdout)")
-    p.set_defaults(func=_cmd_params)
 
-    p = sub.add_parser("toa", help="airtime, fragment count and max rate")
-    _add_common(p)
-    p.add_argument("--dr", help="data rate alias, e.g. DR8")
-    p.add_argument("--payload", help="payload sizes in bytes, comma-separated")
-    p.set_defaults(func=_cmd_toa)
+    p = command("toa", "airtime, fragment count and max rate", _cmd_toa)
+    p.add_argument("--dr", type=str.upper, required=True, help="data rate alias, e.g. DR8")
+    p.add_argument("--payload", type=_int_list, required=True,
+                   help="payload sizes in bytes, comma-separated")
 
-    p = sub.add_parser("sweep", help="goodput vs device count campaign")
-    _add_common(p)
-    p.add_argument("--dr", help="data rate aliases, comma-separated")
-    p.add_argument("--payload", help="payload sizes in bytes, comma-separated")
+    p = command("sweep", "goodput vs device count campaign", _cmd_sweep)
+    p.add_argument("--dr", type=_dr_list, required=True,
+                   help="data rate aliases, comma-separated")
+    p.add_argument("--payload", type=_int_list, required=True,
+                   help="payload sizes in bytes, comma-separated")
     _add_sweep_options(p)
     p.add_argument("--out", help="per-run results CSV path")
-    p.add_argument("--aggregate-out", dest="aggregate_out", help="aggregate CSV path")
-    p.set_defaults(func=_cmd_sweep)
+    p.add_argument("--aggregate-out", help="aggregate CSV path")
 
-    p = sub.add_parser("crossover", help="load where LoRa-E goodput passes LoRa")
-    _add_common(p)
-    p.add_argument("--lora-dr", dest="lora_dr", help="LoRa data rate (DR0..DR5)")
-    p.add_argument("--lorae-dr", dest="lorae_dr", help="LoRa-E data rate (DR8 or DR9)")
-    p.add_argument("--payload", help="payload size in bytes")
+    p = command("crossover", "load where LoRa-E goodput passes LoRa", _cmd_crossover)
+    p.add_argument("--lora-dr", type=str.upper, required=True,
+                   help="LoRa data rate (DR0..DR5)")
+    p.add_argument("--lorae-dr", type=str.upper, required=True,
+                   help="LoRa-E data rate (DR8 or DR9)")
+    p.add_argument("--payload", type=int, required=True, help="payload size in bytes")
     _add_sweep_options(p)
-    p.set_defaults(func=_cmd_crossover)
 
-    p = sub.add_parser("capacity", help="network-wide peak capacity for one DR")
-    _add_common(p)
-    p.add_argument("--dr", help="data rate alias")
-    p.add_argument("--payload", help="payload size in bytes")
+    p = command("capacity", "network-wide peak capacity for one DR", _cmd_capacity)
+    p.add_argument("--dr", type=str.upper, required=True, help="data rate alias")
+    p.add_argument("--payload", type=int, required=True, help="payload size in bytes")
     _add_sweep_options(p)
-    p.set_defaults(func=_cmd_capacity)
     return parser
+
+
+def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
+    """Config keys a subcommand takes: its long value options but --config."""
+    return {option[2:].replace("-", "_") for action in parser._actions
+            if action.nargs != 0 and action.dest != "config"
+            for option in action.option_strings if option.startswith("--")}
+
+
+def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """``argv`` with its --config file's lines as flags ahead of its own."""
+    (subparsers,) = (action for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction))
+    commands = subparsers.choices
+    if not argv or argv[0] not in commands:
+        return argv
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
+    takes = _config_keys(commands[argv[0]])
+    known = set().union(*map(_config_keys, commands.values()))
+    flags = []
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in known:
+            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in takes:
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return [argv[0], *flags, *argv[1:]]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args.config_values = _read_config(args.config) if args.config else {}
+        args = parser.parse_args(
+            _with_config(parser, list(sys.argv[1:] if argv is None else argv)))
         return args.func(args)
     except CrossoverNotFound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CliError, ValueError, LookupError, OSError) as exc:
+    except (argparse.ArgumentError, CliError, ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import engine, hopping, params, traffic
 from .engine import DEFAULT_HORIZON_MS, Outcome, Scenario, ScenarioResult, run
-from .params import (LORA, LORA_DR_COUNT_EU, DataRateProfile, RegionalPlan,
-                     dr_profile, max_packet_rate, regional_plan, time_on_air)
+from .params import (LORA, LORA_DR_COUNT_EU, dr_profile, max_packet_rate, regional_plan,
+                     time_on_air)
 from .traffic import DeviceConfig
 
 
@@ -81,7 +81,6 @@ class CrossoverQuery:
     lora_dr: str
     lorae_dr: str
     payload_bytes: int
-    region: str = "EU868"
 
     def __post_init__(self) -> None:
         if self.lora_dr not in {f"DR{i}" for i in range(6)}:
@@ -316,33 +315,44 @@ AGGREGATE_COLUMNS = ["devices", "dr", "payload", "offered_pkts_h",
                      "goodput_B_h_mean", "goodput_B_h_std",
                      "decoded_pkts_h_mean", "decoded_pkts_h_std", "replications"]
 
+# Plot hints for the aggregate table: goodput against a log device axis.
+AGGREGATE_COMMENTS = ["xscale: log", "x: devices", "y: goodput_B_h_mean"]
 
-def emit(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[object]],
-         comments: Sequence[str] = ()) -> None:
-    """Write a deterministic CSV; metadata comments precede the header row."""
-    if not rows:
-        raise ValueError("refusing to write an empty table")
+
+def aggregate_row(point: AggregatePoint) -> list[object]:
+    """One aggregate point as a row under :data:`AGGREGATE_COLUMNS`."""
+    return [point.devices, point.dr, point.payload_bytes,
+            round(point.offered_pkts_per_hour, 3),
+            round(point.mean_goodput_bytes_per_hour, 3),
+            round(point.std_goodput_bytes_per_hour, 3),
+            round(point.mean_decoded_pkts_per_hour, 3),
+            round(point.std_decoded_pkts_per_hour, 3),
+            point.replications]
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]],
+             comments: Sequence[str] = ()) -> str:
+    """A deterministic CSV table; metadata comments precede the header row."""
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
     lines.extend(",".join(str(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    return "\n".join(lines) + "\n"
+
+
+def emit(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[object]],
+         comments: Sequence[str] = ()) -> None:
+    """Write :func:`csv_text` to ``path``; an empty table is an error."""
+    if not rows:
+        raise ValueError("refusing to write an empty table")
+    Path(path).write_text(csv_text(header, rows, comments), encoding="ascii")
 
 
 def emit_results(results: Sequence[ScenarioResult], path: str | Path) -> None:
     emit(path, RESULT_COLUMNS, [csv_row(r) for r in results])
 
 
-def emit_aggregate(points: Sequence[AggregatePoint], path: str | Path,
-                   xscale: str = "log") -> None:
-    rows = [[p.devices, p.dr, p.payload_bytes,
-             round(p.offered_pkts_per_hour, 3),
-             round(p.mean_goodput_bytes_per_hour, 3),
-             round(p.std_goodput_bytes_per_hour, 3),
-             round(p.mean_decoded_pkts_per_hour, 3),
-             round(p.std_decoded_pkts_per_hour, 3),
-             p.replications] for p in points]
-    emit(path, AGGREGATE_COLUMNS, rows,
-         comments=[f"xscale: {xscale}", "x: devices", "y: goodput_B_h_mean"])
+def emit_aggregate(points: Sequence[AggregatePoint], path: str | Path) -> None:
+    emit(path, AGGREGATE_COLUMNS, [aggregate_row(p) for p in points], AGGREGATE_COMMENTS)
 
 
 def log_spaced_counts(lo: int, hi: int, n: int) -> tuple[int, ...]:
@@ -354,22 +364,18 @@ def log_spaced_counts(lo: int, hi: int, n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _aloha_peak_devices(region: str, dr: str, payload_bytes: int) -> float:
-    toa = time_on_air(dr_profile(region, dr), payload_bytes)
-    rate = per_device_rate(region, dr, payload_bytes)
-    return 3_600_000 / (2 * rate * toa)   # vulnerable window 2 x ToA
-
-
 def default_capacity_counts(region: str, dr: str, payload_bytes: int) -> tuple[int, ...]:
     """Device grid bracketing a goodput peak: dense near it, sparse flanks.
 
-    LoRa peaks where offered load x collision survival is maximal (about
-    50 devices at DR0); LoRa-E peaks are found empirically, so its grid is
-    log-spaced over a wide range.
+    LoRa peaks where offered load x collision survival is maximal: pure
+    Aloha peaks at half a packet per 2 x ToA vulnerable window, and each
+    device fills its duty cycle, so at 1 / (2 x duty) devices whatever the
+    DR and payload (50 under the EU 1% rule).  LoRa-E peaks are found
+    empirically, so its grid is log-spaced over a wide range.
     """
     profile = dr_profile(region, dr)
     if profile.family == LORA:
-        n = _aloha_peak_devices(region, dr, payload_bytes)
+        n = 1 / (2 * regional_plan(region, dr).duty_cycle)
         base = {round(n * f) for f in (0.35, 0.7, 1.0, 1.1, 1.2, 1.4, 2.0)}
         return tuple(sorted(max(1, c) for c in base))
     return log_spaced_counts(500, 32_000, 13)

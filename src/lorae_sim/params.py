@@ -14,11 +14,9 @@ are integers because every hop is scheduled on a millisecond grid.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable
 
 EU868 = "EU868"
 US915 = "US915"
@@ -56,7 +54,7 @@ class RegionalPlan:
     organised as ``num_grids`` interleaved grids of ``carriers_per_grid``
     slots so that any two slots of one grid sit at least
     ``min_hop_separation_hz`` apart.  Classic LoRa uses a degenerate plan:
-    one carrier per channel and no hopping.
+    one carrier per channel and no hopping (OCW = OBW, separation 0).
     """
 
     region_id: str
@@ -65,22 +63,22 @@ class RegionalPlan:
     obw_bandwidth_hz: int
     min_hop_separation_hz: int
     num_ocw_channels: int
-    num_grids: int
-    carriers_per_grid: int
-    total_carriers: int
 
     def __post_init__(self) -> None:
         if not 0.0 < self.duty_cycle <= 1.0:
             raise ValueError(f"duty cycle must be in (0, 1], got {self.duty_cycle}")
-        if self.total_carriers != self.ocw_bandwidth_hz // self.obw_bandwidth_hz:
-            raise ValueError("total_carriers must equal floor(OCW / OBW)")
-        if self.min_hop_separation_hz > 0:
-            if self.num_grids != round(self.min_hop_separation_hz / self.obw_bandwidth_hz):
-                raise ValueError("num_grids must equal round(min_hop_separation / OBW)")
-            if self.carriers_per_grid != self.total_carriers // self.num_grids:
-                raise ValueError("carriers_per_grid must equal floor(total_carriers / num_grids)")
-        elif (self.num_grids, self.carriers_per_grid) != (1, 1):
-            raise ValueError("a plan without hopping has exactly one single-carrier grid")
+
+    @property
+    def total_carriers(self) -> int:
+        return self.ocw_bandwidth_hz // self.obw_bandwidth_hz
+
+    @property
+    def num_grids(self) -> int:
+        return max(1, round(self.min_hop_separation_hz / self.obw_bandwidth_hz))
+
+    @property
+    def carriers_per_grid(self) -> int:
+        return self.total_carriers // self.num_grids
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,10 +91,8 @@ class DataRateProfile:
     header_replicas: int
     phy_bit_rate_bps: int
     header_duration_ms: int
-    fragment_duration_ms: int
     max_payload_bytes: int
     lora_spreading_factor: int | None = None
-    lora_bandwidth_hz: int | None = None
 
     def __post_init__(self) -> None:
         if self.family not in (LORA, LORA_E):
@@ -115,7 +111,6 @@ def _lorae_profile(alias: str, cr: Fraction, max_payload: int) -> DataRateProfil
         header_replicas=replicas,
         phy_bit_rate_bps=bitrate,
         header_duration_ms=HEADER_MS,
-        fragment_duration_ms=FRAGMENT_MS,
         max_payload_bytes=max_payload,
     )
 
@@ -128,10 +123,8 @@ def _lora_profile(alias: str, sf: int, max_payload: int) -> DataRateProfile:
         header_replicas=1,
         phy_bit_rate_bps=int(sf * LORA_BW_HZ / 2 ** sf),
         header_duration_ms=0,
-        fragment_duration_ms=0,
         max_payload_bytes=max_payload,
         lora_spreading_factor=sf,
-        lora_bandwidth_hz=LORA_BW_HZ,
     )
 
 
@@ -156,8 +149,6 @@ _PROFILES: dict[tuple[str, str], DataRateProfile] = {
 
 
 def _lorae_plan(region: str, duty: float, ocw: int, min_hop: int, channels: int) -> RegionalPlan:
-    total = ocw // OBW_HZ
-    grids = round(min_hop / OBW_HZ)
     return RegionalPlan(
         region_id=region,
         duty_cycle=duty,
@@ -165,9 +156,6 @@ def _lorae_plan(region: str, duty: float, ocw: int, min_hop: int, channels: int)
         obw_bandwidth_hz=OBW_HZ,
         min_hop_separation_hz=min_hop,
         num_ocw_channels=channels,
-        num_grids=grids,
-        carriers_per_grid=total // grids,
-        total_carriers=total,
     )
 
 
@@ -184,9 +172,6 @@ _LORA_PLAN_EU = RegionalPlan(
     obw_bandwidth_hz=LORA_BW_HZ,
     min_hop_separation_hz=0,
     num_ocw_channels=LORA_CHANNELS_EU,
-    num_grids=1,
-    carriers_per_grid=1,
-    total_carriers=1,
 )
 
 _PLANS: dict[tuple[str, str], RegionalPlan] = {
@@ -221,7 +206,8 @@ def regional_plan(region: str, alias: str) -> RegionalPlan:
         raise UnknownProfileError(f"no channel plan for {alias!r} in region {region!r}") from None
 
 
-def _check_payload(profile: DataRateProfile, payload_bytes: int) -> None:
+def check_payload(profile: DataRateProfile, payload_bytes: int) -> None:
+    """Raise :class:`PayloadSizeError` unless 1 <= payload <= the DR's maximum."""
     if payload_bytes < 1:
         raise PayloadSizeError(f"payload must be at least 1 byte, got {payload_bytes}")
     if payload_bytes > profile.max_payload_bytes:
@@ -237,11 +223,10 @@ def lora_time_on_air(profile: DataRateProfile, payload_bytes: int) -> float:
     """
     if profile.family != LORA:
         raise ValueError(f"{profile.alias} is not a LoRa profile")
-    _check_payload(profile, payload_bytes)
+    check_payload(profile, payload_bytes)
     sf = profile.lora_spreading_factor
-    bw = profile.lora_bandwidth_hz
-    t_sym = (2 ** sf) / bw * 1000.0
-    de = 1 if (sf >= 11 and bw <= 125_000) else 0
+    t_sym = (2 ** sf) / LORA_BW_HZ * 1000.0
+    de = 1 if sf >= 11 else 0
     cr_code = 1                                    # CR 4/5
     numer = 8 * payload_bytes - 4 * sf + 28 + 16   # explicit header, CRC on
     n_payload = 8 + max(math.ceil(numer / (4 * (sf - 2 * de))) * (cr_code + 4), 0)
@@ -252,7 +237,7 @@ def lorae_coded_bits(profile: DataRateProfile, payload_bytes: int) -> int:
     """Coded payload bits after CRC, tail bits and the convolutional code."""
     if profile.family != LORA_E:
         raise ValueError(f"{profile.alias} is not a LoRa-E profile")
-    _check_payload(profile, payload_bytes)
+    check_payload(profile, payload_bytes)
     info_bits = (payload_bytes + PAYLOAD_CRC_BYTES) * 8 + CONV_TAIL_BITS
     cr = profile.coding_rate
     return -(-info_bits * cr.denominator // cr.numerator)
@@ -301,9 +286,9 @@ PROVENANCE_COLUMNS = [
 ]
 
 
-def provenance_rows() -> list[dict[str, object]]:
-    """One audit row per (region, DR): every derived channel/timing figure."""
-    rows: list[dict[str, object]] = []
+def provenance_rows() -> list[list[object]]:
+    """One row per (region, DR) under :data:`PROVENANCE_COLUMNS`: every derived figure."""
+    rows: list[list[object]] = []
     for (region, alias), profile in sorted(_PROFILES.items()):
         plan = _PLANS[(region, alias)]
         if profile.family == LORA_E:
@@ -312,30 +297,12 @@ def provenance_rows() -> list[dict[str, object]]:
         else:
             frags = 0
             toa = round(lora_time_on_air(profile, profile.max_payload_bytes), 3)
-        rows.append({
-            "region": region,
-            "dr": alias,
-            "family": profile.family,
-            "coding_rate": str(profile.coding_rate),
-            "header_replicas": profile.header_replicas,
-            "bit_rate_bps": profile.phy_bit_rate_bps,
-            "max_payload_B": profile.max_payload_bytes,
-            "fragments_max": frags,
-            "toa_max_ms": toa,
-            "ocw_hz": plan.ocw_bandwidth_hz,
-            "obw_hz": plan.obw_bandwidth_hz,
-            "min_hop_hz": plan.min_hop_separation_hz,
-            "grids": plan.num_grids,
-            "carriers_per_grid": plan.carriers_per_grid,
-            "total_carriers": plan.total_carriers,
-            "ocw_channels": plan.num_ocw_channels,
-            "duty_cycle": plan.duty_cycle,
-        })
+        rows.append([
+            region, alias, profile.family, str(profile.coding_rate),
+            profile.header_replicas, profile.phy_bit_rate_bps,
+            profile.max_payload_bytes, frags, toa,
+            plan.ocw_bandwidth_hz, plan.obw_bandwidth_hz, plan.min_hop_separation_hz,
+            plan.num_grids, plan.carriers_per_grid, plan.total_carriers,
+            plan.num_ocw_channels, plan.duty_cycle,
+        ])
     return rows
-
-
-def write_provenance_csv(stream: IO[str], rows: Iterable[dict[str, object]] | None = None) -> None:
-    writer = csv.DictWriter(stream, fieldnames=PROVENANCE_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in (provenance_rows() if rows is None else rows):
-        writer.writerow(row)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DataRateProfile, RegionalPlan, time_on_air
+from .params import DataRateProfile, RegionalPlan, check_payload, time_on_air
 
 _BLOCK = 256   # exponential draws are taken in fixed-size blocks
 
@@ -37,10 +37,7 @@ class DeviceConfig:
     plan: RegionalPlan
 
     def __post_init__(self) -> None:
-        if not 1 <= self.payload_bytes <= self.profile.max_payload_bytes:
-            raise ValueError(
-                f"payload {self.payload_bytes} B outside [1, "
-                f"{self.profile.max_payload_bytes}] for {self.profile.alias}")
+        check_payload(self.profile, self.payload_bytes)
 
     @property
     def time_on_air_ms(self) -> float:

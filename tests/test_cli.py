@@ -22,6 +22,13 @@ def test_params_to_file(tmp_path):
     assert out.read_text().count("\n") == 1 + 12
 
 
+def test_params_stdout_equals_out_file(tmp_path, capsys):
+    assert main(["params"]) == 0
+    out = tmp_path / "table.csv"
+    assert main(["params", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
 def test_params_unknown_region_fails(capsys):
     assert main(["params", "--region", "MARS"]) == 2
     assert "error" in capsys.readouterr().err
@@ -73,6 +80,35 @@ def test_sweep_outputs_and_config_override(tmp_path, capsys):
     assert len(rows) == 2                      # header + one point, one rep
     assert rows[1].startswith("4,DR9,10,")     # flag overrode devices=3,6
     assert agg.read_text().splitlines()[0] == "# xscale: log"
+
+
+def test_sweep_stdout_equals_aggregate_csv_rows(tmp_path, capsys):
+    argv = ["sweep", "--dr", "DR9", "--payload", "10", "--devices", "3,6",
+            "--horizon-ms", "3600000", "--replications", "2", "--seed", "5"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    agg = tmp_path / "agg.csv"
+    assert main(argv + ["--aggregate-out", str(agg)]) == 0
+    table = [line for line in agg.read_text().splitlines() if not line.startswith("#")]
+    assert printed == table
+    assert len(table) == 3
+
+
+def test_config_ignores_keys_of_other_subcommands(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("dr = DR9\npayload = 10\ndevices = 3\nlora_dr = DR0\n"
+                      "horizon_ms = 600000\nreplications = 1\n")
+    assert main(["sweep", "--config", str(config)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("3,DR9,10,")
+
+
+def test_config_bad_value_names_option(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("replications = x\n")
+    assert main(["sweep", "--config", str(config), "--dr", "DR9",
+                 "--payload", "10", "--devices", "3"]) == 2
+    assert "--replications" in capsys.readouterr().err
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):

@@ -309,6 +309,14 @@ def test_default_capacity_counts_bracket_lora_peak():
     assert min(counts) < 50 < max(counts)
 
 
+@pytest.mark.parametrize("dr", [f"DR{i}" for i in range(6)])
+@pytest.mark.parametrize("payload", [1, 10, 51])
+def test_default_capacity_counts_centre_on_aloha_peak(dr, payload):
+    # rate x ToA = duty x 1 h, so the Aloha peak is 1 / (2 x 1%) = 50
+    # devices at every EU868 LoRa DR and payload.
+    assert default_capacity_counts("EU868", dr, payload) == (18, 35, 50, 55, 60, 70, 100)
+
+
 def test_log_spaced_counts():
     counts = log_spaced_counts(10, 1000, 5)
     assert counts[0] == 10 and counts[-1] == 1000

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import io
 from fractions import Fraction
 
 import pytest
 
 from lorae_sim import params
+from lorae_sim.experiments import csv_text
 from lorae_sim.params import (EU868, LORA, LORA_E, US915, PayloadSizeError,
                               UnknownProfileError, dr_profile,
                               lora_time_on_air, lorae_coded_bits,
@@ -160,9 +160,8 @@ def test_us_plan_has_no_duty_ceiling():
 # --- provenance table ------------------------------------------------------
 
 def test_provenance_csv_covers_all_profiles():
-    stream = io.StringIO()
-    params.write_provenance_csv(stream)
-    lines = stream.getvalue().strip().splitlines()
+    text = csv_text(params.PROVENANCE_COLUMNS, params.provenance_rows())
+    lines = text.strip().splitlines()
     assert lines[0].split(",") == params.PROVENANCE_COLUMNS
     assert len(lines) == 1 + 12   # 6 LoRa + 4 EU LoRa-E + 2 US LoRa-E
     dr8 = next(l for l in lines if l.startswith("EU868,DR8,"))
