@@ -131,7 +131,7 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
     if args.devices is None:
-        args.devices = default_capacity_counts(args.region, args.dr, args.payload)
+        args.devices = default_capacity_counts(args.region, args.dr)
     spec = _sweep_spec(args, (args.dr,), (args.payload,))
     points = aggregate(spec, sweep(spec))
     peak = peak_point(points)
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, summary: str, func, region: str | None = params.EU868):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="flat key = value file of long options")
-        p.add_argument("--region", default=region,
+        p.add_argument("--region", type=str.upper, default=region,
                        help=f"regulatory region (default {region or 'all'})")
         p.set_defaults(func=func)
         return p

@@ -33,16 +33,17 @@ import numpy as np
 
 from .hopping import SEED_COUNT, slot_matrix
 from .params import LORA, LORA_E, DataRateProfile, RegionalPlan, max_packet_rate
-from .params import lorae_fragment_durations, lora_time_on_air
+from .params import lorae_fragment_count, lorae_fragment_durations, lora_time_on_air
 from .traffic import DeviceConfig, device_stream, generate_schedule
 
 DEFAULT_HORIZON_MS = 4 * 3_600_000   # 4 simulated hours
 _DRAW_DEVICES = 1024                 # devices per generate_schedule call
-_BYTES_PER_PACKET = 55               # peak RSS per packet: US915 DR5, 5 000 devices, 1 h
+_EMISSION_BYTES = 83                 # peak RSS per emission of the grid being collided
+_HOP_DRAW_BYTES = 43                 # and per LoRa-E packet: hop seed and grid, grid split
 
 
 class ScenarioConfigError(ValueError):
-    """Scenario mixes incompatible devices (data rate, payload or channel plan)."""
+    """Scenario mixes incompatible devices, or needs more than physical memory."""
 
 
 class Outcome(enum.Enum):
@@ -236,9 +237,25 @@ def _aggregate(scenario: Scenario, outcomes: dict[Outcome, int]) -> ScenarioResu
     )
 
 
-def expected_bytes(packets_per_hour: float, horizon_ms: int) -> float:
-    """Peak memory a run is expected to need: its expected packets x 55 B."""
-    return packets_per_hour * horizon_ms / 3_600_000 * _BYTES_PER_PACKET
+def bytes_per_packet(scenario: Scenario) -> int:
+    """Peak memory a run of ``scenario`` is expected to need per packet.
+
+    A packet of K emissions on one of G grids adds K / G emissions to the
+    grid being collided.  The line runs through the peak RSS of EU868 DR8
+    and DR9 runs (20 000 devices, 1 h: 207 and 135 B a packet); LoRa, one
+    emission on one grid, and US915 measure below it.
+    """
+    profile = scenario.profile
+    if profile.family == LORA:
+        return _EMISSION_BYTES
+    emissions = profile.header_replicas + lorae_fragment_count(profile, scenario.payload_bytes)
+    return math.ceil(_HOP_DRAW_BYTES + _EMISSION_BYTES * emissions / scenario.plan.num_grids)
+
+
+def expected_bytes(scenario: Scenario) -> float:
+    """Peak memory a run is expected to need: its expected packets x bytes per packet."""
+    packets = scenario.offered_load_pkts_per_hour() * scenario.horizon_ms / 3_600_000
+    return packets * bytes_per_packet(scenario)
 
 
 def physical_memory() -> int:
@@ -253,12 +270,12 @@ def run(scenario: Scenario) -> ScenarioResult:
     packet count (offered load x horizon) would need more than the
     machine's physical memory.
     """
-    need = expected_bytes(scenario.offered_load_pkts_per_hour(), scenario.horizon_ms)
-    limit = physical_memory()
+    need, limit = expected_bytes(scenario), physical_memory()
     if need > limit:
+        per_packet = bytes_per_packet(scenario)
         raise ScenarioConfigError(
-            f"about {need / _BYTES_PER_PACKET:.4g} packets would need {need:.4g} B "
-            f"at {_BYTES_PER_PACKET} B a packet, over the {limit:.4g} B of physical memory")
+            f"about {need / per_packet:.4g} packets would need {need:.4g} B "
+            f"at {per_packet} B a packet, over the {limit:.4g} B of physical memory")
     start, seeds, grids = _draw_packets(scenario)
     if scenario.profile.family == LORA:
         return _run_lora(scenario, start)

@@ -56,6 +56,12 @@ class SweepSpec:
             raise ValueError("dr_aliases and payload_bytes must be non-empty")
         if self.horizon_ms <= 0:
             raise ValueError(f"horizon must be positive, got {self.horizon_ms}")
+        for name, values in (("dr_aliases", self.dr_aliases),
+                             ("payload_bytes", self.payload_bytes),
+                             ("device_counts", self.device_counts)):
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:   # a repeated point would count as an independent replication
+                raise ValueError(f"{name} lists {repeats[0]!r} more than once")
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,15 +164,18 @@ def _pool_size(spec: SweepSpec, points: int) -> int:
     One per usable CPU, but no more than there are points, and no more
     than physical memory holds at once by ``run``'s own estimate for the
     largest point.  Also 1 when a function a point looks up is no longer
-    the one defined at import (a tracer, a profiler or a mock put another
-    in its place): what a replacement records in a worker never reaches
-    this process.
+    the one defined at import (a tracer or a mock put another in its
+    place): what a replacement records in a worker never reaches this
+    process.  Only a replaced function does this; ``cProfile`` replaces
+    none, so a profiled sweep still starts a pool.  Profile one under
+    ``taskset -c 0``, which leaves one usable CPU.
     """
     workers = min(points, _usable_cpus())
     if workers <= 1 or _point_namespace() != _AS_DEFINED:
         return 1
-    largest = max(engine.expected_bytes(per_device_rate(spec.region, dr, payload)
-                                        * max(spec.device_counts), spec.horizon_ms)
+    largest = max(engine.expected_bytes(build_scenario(spec.region, dr, payload,
+                                                       max(spec.device_counts),
+                                                       spec.horizon_ms, 0))
                   for dr in spec.dr_aliases for payload in spec.payload_bytes)
     return max(1, min(workers, int(engine.physical_memory() // largest)))
 
@@ -356,7 +365,7 @@ def emit_aggregate(points: Sequence[AggregatePoint], path: str | Path) -> None:
 
 
 def log_spaced_counts(lo: int, hi: int, n: int) -> tuple[int, ...]:
-    """n distinct log-spaced integers from lo to hi inclusive."""
+    """At most n distinct log-spaced integers from lo to hi inclusive (rounding merges some)."""
     if lo < 1 or hi < lo or n < 1:
         raise ValueError(f"need 1 <= lo <= hi and n >= 1, got {lo}, {hi}, {n}")
     raw = np.geomspace(lo, hi, n)
@@ -364,7 +373,7 @@ def log_spaced_counts(lo: int, hi: int, n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def default_capacity_counts(region: str, dr: str, payload_bytes: int) -> tuple[int, ...]:
+def default_capacity_counts(region: str, dr: str) -> tuple[int, ...]:
     """Device grid bracketing a goodput peak: dense near it, sparse flanks.
 
     LoRa peaks where offered load x collision survival is maximal: pure

@@ -57,7 +57,6 @@ class RegionalPlan:
     one carrier per channel and no hopping (OCW = OBW, separation 0).
     """
 
-    region_id: str
     duty_cycle: float
     ocw_bandwidth_hz: int
     obw_bandwidth_hz: int
@@ -128,37 +127,6 @@ def _lora_profile(alias: str, sf: int, max_payload: int) -> DataRateProfile:
     )
 
 
-_PROFILES: dict[tuple[str, str], DataRateProfile] = {
-    # EU868 classic LoRa, DR0..DR5 = SF12..SF7 at 125 kHz
-    (EU868, "DR0"): _lora_profile("DR0", 12, 51),
-    (EU868, "DR1"): _lora_profile("DR1", 11, 51),
-    (EU868, "DR2"): _lora_profile("DR2", 10, 51),
-    (EU868, "DR3"): _lora_profile("DR3", 9, 115),
-    (EU868, "DR4"): _lora_profile("DR4", 8, 222),
-    (EU868, "DR5"): _lora_profile("DR5", 7, 222),
-    # EU868 LoRa-E, 137 kHz channels
-    (EU868, "DR8"): _lorae_profile("DR8", Fraction(1, 3), 58),
-    (EU868, "DR9"): _lorae_profile("DR9", Fraction(2, 3), 123),
-    # EU868 LoRa-E, 336 kHz channels
-    (EU868, "DR10"): _lorae_profile("DR10", Fraction(1, 3), 58),
-    (EU868, "DR11"): _lorae_profile("DR11", Fraction(2, 3), 123),
-    # US915 LoRa-E, 1.523 MHz channels
-    (US915, "DR5"): _lorae_profile("DR5", Fraction(1, 3), 125),
-    (US915, "DR6"): _lorae_profile("DR6", Fraction(2, 3), 125),
-}
-
-
-def _lorae_plan(region: str, duty: float, ocw: int, min_hop: int, channels: int) -> RegionalPlan:
-    return RegionalPlan(
-        region_id=region,
-        duty_cycle=duty,
-        ocw_bandwidth_hz=ocw,
-        obw_bandwidth_hz=OBW_HZ,
-        min_hop_separation_hz=min_hop,
-        num_ocw_channels=channels,
-    )
-
-
 # EU duty cycle is the binding 1% ETSI limit.  US915 is governed by dwell
 # time rather than duty cycle, which this model does not enforce, so its
 # plan carries no rate ceiling (duty 1.0).
@@ -166,7 +134,6 @@ _EU_DUTY = 0.01
 _US_DUTY = 1.0
 
 _LORA_PLAN_EU = RegionalPlan(
-    region_id=EU868,
     duty_cycle=_EU_DUTY,
     ocw_bandwidth_hz=LORA_BW_HZ,
     obw_bandwidth_hz=LORA_BW_HZ,
@@ -174,36 +141,49 @@ _LORA_PLAN_EU = RegionalPlan(
     num_ocw_channels=LORA_CHANNELS_EU,
 )
 
-_PLANS: dict[tuple[str, str], RegionalPlan] = {
-    (EU868, "DR0"): _LORA_PLAN_EU,
-    (EU868, "DR1"): _LORA_PLAN_EU,
-    (EU868, "DR2"): _LORA_PLAN_EU,
-    (EU868, "DR3"): _LORA_PLAN_EU,
-    (EU868, "DR4"): _LORA_PLAN_EU,
-    (EU868, "DR5"): _LORA_PLAN_EU,
-    (EU868, "DR8"): _lorae_plan(EU868, _EU_DUTY, 137_000, 3_900, 7),
-    (EU868, "DR9"): _lorae_plan(EU868, _EU_DUTY, 137_000, 3_900, 4),
-    (EU868, "DR10"): _lorae_plan(EU868, _EU_DUTY, 336_000, 3_900, 7),
-    (EU868, "DR11"): _lorae_plan(EU868, _EU_DUTY, 336_000, 3_900, 4),
-    (US915, "DR5"): _lorae_plan(US915, _US_DUTY, 1_523_000, 25_400, 8),
-    (US915, "DR6"): _lorae_plan(US915, _US_DUTY, 1_523_000, 25_400, 8),
+# (region, DR) -> (profile, plan).  LoRa-E plans read: duty cycle, OCW
+# width, sub-carrier width, minimum hop separation, OCW channels.
+_DATA_RATES: dict[tuple[str, str], tuple[DataRateProfile, RegionalPlan]] = {
+    # EU868 classic LoRa, DR0..DR5 = SF12..SF7 at 125 kHz
+    (EU868, "DR0"): (_lora_profile("DR0", 12, 51), _LORA_PLAN_EU),
+    (EU868, "DR1"): (_lora_profile("DR1", 11, 51), _LORA_PLAN_EU),
+    (EU868, "DR2"): (_lora_profile("DR2", 10, 51), _LORA_PLAN_EU),
+    (EU868, "DR3"): (_lora_profile("DR3", 9, 115), _LORA_PLAN_EU),
+    (EU868, "DR4"): (_lora_profile("DR4", 8, 222), _LORA_PLAN_EU),
+    (EU868, "DR5"): (_lora_profile("DR5", 7, 222), _LORA_PLAN_EU),
+    # EU868 LoRa-E, 137 kHz channels
+    (EU868, "DR8"): (_lorae_profile("DR8", Fraction(1, 3), 58),
+                     RegionalPlan(_EU_DUTY, 137_000, OBW_HZ, 3_900, 7)),
+    (EU868, "DR9"): (_lorae_profile("DR9", Fraction(2, 3), 123),
+                     RegionalPlan(_EU_DUTY, 137_000, OBW_HZ, 3_900, 4)),
+    # EU868 LoRa-E, 336 kHz channels
+    (EU868, "DR10"): (_lorae_profile("DR10", Fraction(1, 3), 58),
+                      RegionalPlan(_EU_DUTY, 336_000, OBW_HZ, 3_900, 7)),
+    (EU868, "DR11"): (_lorae_profile("DR11", Fraction(2, 3), 123),
+                      RegionalPlan(_EU_DUTY, 336_000, OBW_HZ, 3_900, 4)),
+    # US915 LoRa-E, 1.523 MHz channels
+    (US915, "DR5"): (_lorae_profile("DR5", Fraction(1, 3), 125),
+                     RegionalPlan(_US_DUTY, 1_523_000, OBW_HZ, 25_400, 8)),
+    (US915, "DR6"): (_lorae_profile("DR6", Fraction(2, 3), 125),
+                     RegionalPlan(_US_DUTY, 1_523_000, OBW_HZ, 25_400, 8)),
 }
 
 
-def dr_profile(region: str, alias: str) -> DataRateProfile:
-    """Look up the data-rate profile for ``alias`` in ``region``."""
+def _data_rate(region: str, alias: str) -> tuple[DataRateProfile, RegionalPlan]:
     try:
-        return _PROFILES[(region, alias)]
+        return _DATA_RATES[(region, alias)]
     except KeyError:
         raise UnknownProfileError(f"no data rate {alias!r} in region {region!r}") from None
 
 
+def dr_profile(region: str, alias: str) -> DataRateProfile:
+    """Look up the data-rate profile for ``alias`` in ``region``."""
+    return _data_rate(region, alias)[0]
+
+
 def regional_plan(region: str, alias: str) -> RegionalPlan:
     """Look up the channel plan that ``alias`` transmits under in ``region``."""
-    try:
-        return _PLANS[(region, alias)]
-    except KeyError:
-        raise UnknownProfileError(f"no channel plan for {alias!r} in region {region!r}") from None
+    return _data_rate(region, alias)[1]
 
 
 def check_payload(profile: DataRateProfile, payload_bytes: int) -> None:
@@ -245,8 +225,7 @@ def lorae_coded_bits(profile: DataRateProfile, payload_bytes: int) -> int:
 
 def lorae_fragment_count(profile: DataRateProfile, payload_bytes: int) -> int:
     """Number of payload hops; each full hop carries 24 coded bits."""
-    coded = lorae_coded_bits(profile, payload_bytes)
-    return -(-coded // CODED_BITS_PER_FRAGMENT)
+    return len(lorae_fragment_durations(profile, payload_bytes))
 
 
 def lorae_fragment_durations(profile: DataRateProfile, payload_bytes: int) -> tuple[int, ...]:
@@ -289,8 +268,7 @@ PROVENANCE_COLUMNS = [
 def provenance_rows() -> list[list[object]]:
     """One row per (region, DR) under :data:`PROVENANCE_COLUMNS`: every derived figure."""
     rows: list[list[object]] = []
-    for (region, alias), profile in sorted(_PROFILES.items()):
-        plan = _PLANS[(region, alias)]
+    for (region, alias), (profile, plan) in sorted(_DATA_RATES.items()):
         if profile.family == LORA_E:
             frags = lorae_fragment_count(profile, profile.max_payload_bytes)
             toa = lorae_time_on_air(profile, profile.max_payload_bytes)

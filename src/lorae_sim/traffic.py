@@ -61,16 +61,6 @@ class ArrivalSchedule:
     start_times: np.ndarray
     counts: np.ndarray
 
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts)
-        if np.any(counts < 0) or counts.sum() != len(self.start_times):
-            raise ValueError("counts must be non-negative and add up to the start times")
-        falls = np.diff(self.start_times) <= 0
-        ends = np.cumsum(counts)[:-1]      # a device boundary is no fall
-        falls[ends[(ends > 0) & (ends < len(self.start_times))] - 1] = False
-        if np.any(falls):
-            raise ValueError("start times must be strictly increasing per device")
-
 
 def device_stream(master_seed: int, device_index: int) -> np.random.Generator:
     """Independent per-device RNG stream spawned from the master seed."""

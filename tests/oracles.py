@@ -59,7 +59,7 @@ def carrier_frequency(plan: RegionalPlan, ocw_channel: int, grid: int, slot: int
     hopping carriers.
     """
     if plan.min_hop_separation_hz == 0:
-        raise ValueError(f"plan {plan.region_id} has no hopping carriers")
+        raise ValueError("a plan without hop separation has no hopping carriers")
     for name, index, size in (("OCW channel", ocw_channel, plan.num_ocw_channels),
                               ("grid", grid, plan.num_grids),
                               ("slot", slot, plan.carriers_per_grid)):

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import lorae_sim
 from lorae_sim.cli import main
+
+_SRC = str(Path(lorae_sim.__file__).parents[1])
 
 
 def test_params_subcommand(capsys):
@@ -153,3 +161,30 @@ def test_invalid_devices_fails(capsys):
     assert main(["sweep", "--dr", "DR9", "--payload", "10",
                  "--devices", "a,b"]) == 2
     assert "integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["toa", "--region", "{}", "--dr", "dr8", "--payload", "10"],
+    ["params", "--region", "{}"],
+])
+def test_region_is_case_insensitive(capsys, argv):
+    outputs = []
+    for region in ("EU868", "eu868"):
+        assert main([arg.format(region) for arg in argv]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != ""
+
+
+def test_sweep_rejects_a_repeated_device_count(capsys):
+    assert main(["sweep", "--dr", "DR0", "--payload", "10", "--devices", "5,5",
+                 "--horizon-ms", "3600000"]) == 2
+    assert "device_counts lists 5 more than once" in capsys.readouterr().err
+
+
+def test_import_starts_no_pool_machinery():
+    # The pool modules are imported inside sweep, so the CLI starts fast.
+    code = ("import sys, lorae_sim.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": _SRC}).stdout
+    assert out.strip() == "[]"

@@ -423,7 +423,7 @@ def test_csv_row_order():
 
 def test_memory_guard_compares_bytes_with_physical_memory(monkeypatch):
     scenario = _scenario("DR5", 10, 3, 30_000, seed=4, region=US915)
-    need = scenario.offered_load_pkts_per_hour() * 30_000 / 3_600_000 * engine._BYTES_PER_PACKET
+    need = engine.expected_bytes(scenario)
     for pages, fits in ((int(need) + 1, True), (int(need) - 1, False)):
         monkeypatch.setattr(engine.os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": pages}.get)
         if fits:
@@ -431,3 +431,24 @@ def test_memory_guard_compares_bytes_with_physical_memory(monkeypatch):
         else:
             with pytest.raises(ScenarioConfigError, match="physical memory"):
                 run(scenario)
+
+
+# Peak RSS per packet, as ru_maxrss after run minus after build_scenario in a
+# fresh process, 10 B, seed 1: the least and the most over these runs.
+@pytest.mark.parametrize("region, dr, measured", [
+    (EU868, "DR8", (200.5, 207.5)),   # 20 000 and 40 000 devices, 1 h
+    (EU868, "DR9", (125.4, 135.4)),   # 20 000 and 40 000 devices, 1 h
+    (EU868, "DR0", (53.7, 67.5)),     # 100 and 400 devices, 100 h
+    (EU868, "DR5", (52.1, 56.8)),     # 100 and 200 devices for 10 h, 1 000 for 1 h
+    (US915, "DR5", (51.0, 53.8)),     # 400 and 2 000 devices, 1 h
+])
+def test_bytes_per_packet_bounds_the_measured_peaks(region, dr, measured):
+    per_packet = engine.bytes_per_packet(_scenario(dr, 10, 1, 3_600_000, seed=1, region=region))
+    assert max(measured) <= per_packet <= 2 * min(measured)
+
+
+def test_bytes_per_packet_grows_with_emissions_per_grid():
+    # 16 emissions a packet on 8 grids (EU868 DR8) against on 52 (US915 DR5).
+    eu = engine.bytes_per_packet(_scenario("DR8", 10, 1, 3_600_000, seed=1))
+    us = engine.bytes_per_packet(_scenario("DR5", 10, 1, 3_600_000, seed=1, region=US915))
+    assert eu > us

@@ -19,6 +19,7 @@ from lorae_sim.experiments import (AGGREGATE_COLUMNS, AggregatePoint,
                                    emit_aggregate, emit_results, find_crossover,
                                    log_spaced_counts, peak_point, per_device_rate,
                                    point_seed, sweep)
+from lorae_sim.params import dr_profile, time_on_air
 
 
 def _spec(**overrides) -> SweepSpec:
@@ -40,6 +41,17 @@ def test_sweep_spec_validation():
         _spec(device_counts=(0, 5))
     with pytest.raises(ValueError):
         _spec(payload_bytes=())
+
+
+@pytest.mark.parametrize("field, values, repeated", [
+    ("dr_aliases", ("DR0", "DR0"), "'DR0'"),
+    ("payload_bytes", (10, 20, 10), "10"),
+    ("device_counts", (5, 5), "5"),
+])
+def test_sweep_spec_rejects_a_repeated_coordinate(field, values, repeated):
+    # A repeated point would be counted as one more replication of itself.
+    with pytest.raises(ValueError, match=f"{field} lists {repeated} more than once"):
+        _spec(**{field: values})
 
 
 # --- sweep and aggregation ----------------------------------------------------
@@ -174,8 +186,8 @@ def test_pool_size_fits_physical_memory(monkeypatch):
     _set_cpus(monkeypatch, 2)
     pools = _pool_sizes(monkeypatch)
     spec = _spec(dr_aliases=("DR0", "DR8"), device_counts=(3, 12), replications=2)
-    largest = max(engine.expected_bytes(per_device_rate("EU868", dr, 10) * 12,
-                                        spec.horizon_ms) for dr in ("DR0", "DR8"))
+    largest = max(engine.expected_bytes(build_scenario("EU868", dr, 10, 12, spec.horizon_ms, 0))
+                  for dr in ("DR0", "DR8"))
     for pages, size in ((int(largest) - 1, 1), (int(2 * largest) - 1, 1),
                         (int(2 * largest) + 1, 2)):
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": pages}.get)
@@ -304,7 +316,7 @@ def test_peak_point():
 
 
 def test_default_capacity_counts_bracket_lora_peak():
-    counts = default_capacity_counts("EU868", "DR0", 10)
+    counts = default_capacity_counts("EU868", "DR0")
     assert 50 in counts
     assert min(counts) < 50 < max(counts)
 
@@ -313,8 +325,11 @@ def test_default_capacity_counts_bracket_lora_peak():
 @pytest.mark.parametrize("payload", [1, 10, 51])
 def test_default_capacity_counts_centre_on_aloha_peak(dr, payload):
     # rate x ToA = duty x 1 h, so the Aloha peak is 1 / (2 x 1%) = 50
-    # devices at every EU868 LoRa DR and payload.
-    assert default_capacity_counts("EU868", dr, payload) == (18, 35, 50, 55, 60, 70, 100)
+    # devices at every EU868 LoRa DR and payload: there they offer half a
+    # packet per airtime.
+    assert default_capacity_counts("EU868", dr) == (18, 35, 50, 55, 60, 70, 100)
+    toa_h = time_on_air(dr_profile("EU868", dr), payload) / 3_600_000
+    assert 50 * per_device_rate("EU868", dr, payload) * toa_h == pytest.approx(0.5)
 
 
 def test_log_spaced_counts():

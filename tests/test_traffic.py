@@ -7,8 +7,7 @@ import pytest
 from scipy import stats
 
 from lorae_sim.params import EU868, dr_profile, regional_plan, time_on_air
-from lorae_sim.traffic import (ArrivalSchedule, DeviceConfig, device_stream,
-                               generate_schedule)
+from lorae_sim.traffic import DeviceConfig, device_stream, generate_schedule
 
 import oracles
 
@@ -24,32 +23,6 @@ def test_device_config_validates_payload():
     cfg = _config("DR8", 10)
     assert cfg.time_on_air_ms == 1337
     assert cfg.mean_interarrival_ms == pytest.approx(133_700)
-
-
-def test_schedule_statically_valid():
-    with pytest.raises(ValueError):
-        ArrivalSchedule((5, 5), (2,))
-    with pytest.raises(ValueError):
-        ArrivalSchedule((9, 3), (2,))
-    ArrivalSchedule((3, 9), (2,))
-
-
-def test_schedule_checks_each_device_segment():
-    # A fall at a device boundary is allowed; one inside a segment is not,
-    # and empty devices do not move the boundaries.
-    ArrivalSchedule((3, 9, 2, 5), (2, 2))
-    ArrivalSchedule((3, 9, 2, 5), (0, 2, 0, 2, 0))
-    ArrivalSchedule((), (0, 0))
-    with pytest.raises(ValueError):
-        ArrivalSchedule((3, 9, 2, 2), (2, 2))
-    with pytest.raises(ValueError):
-        ArrivalSchedule((3, 9, 2, 5), (1, 3))
-    with pytest.raises(ValueError):
-        ArrivalSchedule((3, 9, 2, 5), (0, 3, 1))
-    with pytest.raises(ValueError):            # counts must cover every time
-        ArrivalSchedule((3, 9, 12), (2,))
-    with pytest.raises(ValueError):
-        ArrivalSchedule((3, 9), (3, -1))
 
 
 def test_schedule_deterministic_and_increasing():
