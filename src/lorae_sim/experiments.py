@@ -56,6 +56,8 @@ class SweepSpec:
             raise ValueError("dr_aliases and payload_bytes must be non-empty")
         if self.horizon_ms <= 0:
             raise ValueError(f"horizon must be positive, got {self.horizon_ms}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         for name, values in (("dr_aliases", self.dr_aliases),
                              ("payload_bytes", self.payload_bytes),
                              ("device_counts", self.device_counts)):

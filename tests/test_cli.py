@@ -119,6 +119,12 @@ def test_config_bad_value_names_option(tmp_path, capsys):
     assert "--replications" in capsys.readouterr().err
 
 
+def test_negative_seed_names_master_seed(capsys):
+    assert main(["sweep", "--dr", "DR8", "--payload", "10", "--devices", "5",
+                 "--seed", "-1"]) == 2
+    assert "master_seed must be non-negative" in capsys.readouterr().err
+
+
 def test_config_rejects_unknown_key(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("devise = 3\n")

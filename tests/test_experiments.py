@@ -41,6 +41,8 @@ def test_sweep_spec_validation():
         _spec(device_counts=(0, 5))
     with pytest.raises(ValueError):
         _spec(payload_bytes=())
+    with pytest.raises(ValueError, match="master_seed must be non-negative, got -1"):
+        _spec(master_seed=-1)
 
 
 @pytest.mark.parametrize("field, values, repeated", [
