@@ -47,14 +47,20 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+def _split_list(text: str, what: str) -> list[str]:
+    """The stripped, non-empty parts of a comma-separated option value."""
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if not parts:
+        raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+    return parts
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(int(part) for part in _split_list(text, "integers"))
     except ValueError:
-        values = ()
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    return values
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _log_counts(text: str) -> tuple[int, ...]:
@@ -67,7 +73,7 @@ def _log_counts(text: str) -> tuple[int, ...]:
 
 
 def _dr_list(text: str) -> tuple[str, ...]:
-    return tuple(text.upper().split(","))
+    return tuple(_split_list(text.upper(), "data rate aliases"))
 
 
 def _sweep_spec(args: argparse.Namespace, dr_aliases: tuple[str, ...],
@@ -107,7 +113,7 @@ def _cmd_toa(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _sweep_spec(args, args.dr, args.payload)
     results = sweep(spec)
-    points = aggregate(spec, results)
+    points = aggregate(results)
     if args.out is not None:
         emit_results(results, args.out)
         print(f"wrote {len(results)} rows to {args.out}")
@@ -121,9 +127,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_crossover(args: argparse.Namespace) -> int:
     query = CrossoverQuery(args.lora_dr, args.lorae_dr, args.payload)
-    result = find_crossover(query, _sweep_spec(args, (query.lora_dr, query.lorae_dr),
-                                               (query.payload_bytes,)))
-    print(f"crossover_pkts_h={result.load_pkts_per_hour:.1f} "
+    load = find_crossover(query, _sweep_spec(args, (query.lora_dr, query.lorae_dr),
+                                             (query.payload_bytes,)))
+    print(f"crossover_pkts_h={load:.1f} "
           f"lora_dr={query.lora_dr} lorae_dr={query.lorae_dr} "
           f"payload_B={query.payload_bytes}")
     return 0
@@ -133,7 +139,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     if args.devices is None:
         args.devices = default_capacity_counts(args.region, args.dr)
     spec = _sweep_spec(args, (args.dr,), (args.payload,))
-    points = aggregate(spec, sweep(spec))
+    points = aggregate(sweep(spec))
     peak = peak_point(points)
     capacity = aggregate_capacity(args.region, args.dr, peak.offered_pkts_per_hour)
     print(f"region={args.region} dr={args.dr} payload_B={args.payload} "

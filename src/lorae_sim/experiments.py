@@ -30,8 +30,7 @@ import numpy as np
 
 from . import engine, hopping, params, traffic
 from .engine import DEFAULT_HORIZON_MS, Outcome, Scenario, ScenarioResult, run
-from .params import (LORA, LORA_DR_COUNT_EU, dr_profile, max_packet_rate, regional_plan,
-                     time_on_air)
+from .params import LORA, LORA_DR_COUNT_EU, dr_profile, regional_plan
 from .traffic import DeviceConfig
 
 
@@ -70,7 +69,6 @@ class SweepSpec:
 class AggregatePoint:
     """Replication average of one sweep point."""
 
-    region: str
     dr: str
     payload_bytes: int
     devices: int
@@ -95,12 +93,6 @@ class CrossoverQuery:
             raise ValueError(f"lora_dr must be DR0..DR5, got {self.lora_dr}")
         if self.lorae_dr not in {"DR8", "DR9"}:
             raise ValueError(f"lorae_dr must be DR8 or DR9, got {self.lorae_dr}")
-
-
-@dataclass(frozen=True, slots=True)
-class CrossoverResult:
-    load_pkts_per_hour: float
-    query: CrossoverQuery
 
 
 class CrossoverNotFound(RuntimeError):
@@ -206,7 +198,7 @@ def sweep(spec: SweepSpec) -> list[ScenarioResult]:
         return list(pool.map(partial(_run_point, spec), *zip(*points)))
 
 
-def aggregate(spec: SweepSpec, results: Iterable[ScenarioResult]) -> list[AggregatePoint]:
+def aggregate(results: Iterable[ScenarioResult]) -> list[AggregatePoint]:
     """Group sweep rows by (dr, payload, devices); mean and sample stddev."""
     groups: dict[tuple[str, int, int], list[ScenarioResult]] = {}
     for r in results:
@@ -216,7 +208,6 @@ def aggregate(spec: SweepSpec, results: Iterable[ScenarioResult]) -> list[Aggreg
         goodputs = [r.goodput_bytes_per_hour for r in rows]
         rates = [r.throughput_packets_per_hour for r in rows]
         points.append(AggregatePoint(
-            region=spec.region,
             dr=dr,
             payload_bytes=payload,
             devices=devices,
@@ -228,13 +219,6 @@ def aggregate(spec: SweepSpec, results: Iterable[ScenarioResult]) -> list[Aggreg
             replications=len(rows),
         ))
     return points
-
-
-def per_device_rate(region: str, dr: str, payload_bytes: int) -> float:
-    """Duty-cycle-max packets/hour for one device (pure arithmetic)."""
-    profile = dr_profile(region, dr)
-    plan = regional_plan(region, dr)
-    return max_packet_rate(plan, time_on_air(profile, payload_bytes))
 
 
 def crossover_load(query: CrossoverQuery,
@@ -265,23 +249,22 @@ def crossover_load(query: CrossoverQuery,
     return float(x0 + (x1 - x0) * (0.0 - d0) / (d1 - d0))
 
 
-def find_crossover(query: CrossoverQuery, spec: SweepSpec) -> CrossoverResult:
-    """Smallest load at which LoRa-E mean goodput exceeds LoRa's.
+def find_crossover(query: CrossoverQuery, spec: SweepSpec) -> float:
+    """Smallest load (pkt/h) at which LoRa-E mean goodput exceeds LoRa's.
 
     Both data rates run in one sweep of ``spec.device_counts``; each curve
     is its DR's (offered load, mean goodput) points in device order.
     """
     both = replace(spec, dr_aliases=(query.lora_dr, query.lorae_dr),
                    payload_bytes=(query.payload_bytes,))
-    points = aggregate(both, sweep(both))
+    points = aggregate(sweep(both))
 
     def curve(dr: str) -> tuple[np.ndarray, np.ndarray]:
         rows = [p for p in points if p.dr == dr]   # aggregate sorts by devices
         return (np.array([p.offered_pkts_per_hour for p in rows]),
                 np.array([p.mean_goodput_bytes_per_hour for p in rows]))
 
-    load = crossover_load(query, curve(query.lora_dr), curve(query.lorae_dr))
-    return CrossoverResult(load_pkts_per_hour=load, query=query)
+    return crossover_load(query, curve(query.lora_dr), curve(query.lorae_dr))
 
 
 def aggregate_capacity(region: str, dr: str, per_channel_peak_pkts_per_hour: float) -> float:

@@ -82,49 +82,37 @@ class RegionalPlan:
 
 @dataclass(frozen=True, slots=True)
 class DataRateProfile:
-    """Modulation parameters of one data-rate alias within a region."""
+    """One data-rate alias within a region: the table's inputs, the rest derived.
+
+    A LoRa rate is fixed by its spreading factor; a LoRa-E rate (no spreading
+    factor) by its coding rate.
+    """
 
     alias: str
-    family: str
     coding_rate: Fraction
-    header_replicas: int
-    phy_bit_rate_bps: int
-    header_duration_ms: int
     max_payload_bytes: int
     lora_spreading_factor: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.family not in (LORA, LORA_E):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family == LORA and self.lora_spreading_factor is None:
-            raise ValueError("LoRa profiles need a spreading factor")
+    @property
+    def family(self) -> str:
+        return LORA_E if self.lora_spreading_factor is None else LORA
 
+    @property
+    def header_replicas(self) -> int:
+        if self.family == LORA:
+            return 1
+        return 3 if self.coding_rate == Fraction(1, 3) else 2   # CR 1/3 sends one extra copy
 
-def _lorae_profile(alias: str, cr: Fraction, max_payload: int) -> DataRateProfile:
-    replicas = 3 if cr == Fraction(1, 3) else 2   # CR 1/3 sends one extra header copy
-    bitrate = 162 if cr == Fraction(1, 3) else 325
-    return DataRateProfile(
-        alias=alias,
-        family=LORA_E,
-        coding_rate=cr,
-        header_replicas=replicas,
-        phy_bit_rate_bps=bitrate,
-        header_duration_ms=HEADER_MS,
-        max_payload_bytes=max_payload,
-    )
+    @property
+    def header_duration_ms(self) -> int:
+        return HEADER_MS if self.family == LORA_E else 0
 
-
-def _lora_profile(alias: str, sf: int, max_payload: int) -> DataRateProfile:
-    return DataRateProfile(
-        alias=alias,
-        family=LORA,
-        coding_rate=Fraction(4, 5),               # LoRaWAN uplink default CR
-        header_replicas=1,
-        phy_bit_rate_bps=int(sf * LORA_BW_HZ / 2 ** sf),
-        header_duration_ms=0,
-        max_payload_bytes=max_payload,
-        lora_spreading_factor=sf,
-    )
+    @property
+    def phy_bit_rate_bps(self) -> int:
+        if self.family == LORA_E:
+            return int(OBW_HZ * self.coding_rate)
+        sf = self.lora_spreading_factor
+        return int(sf * LORA_BW_HZ / 2 ** sf)
 
 
 # EU duty cycle is the binding 1% ETSI limit.  US915 is governed by dwell
@@ -132,6 +120,8 @@ def _lora_profile(alias: str, sf: int, max_payload: int) -> DataRateProfile:
 # plan carries no rate ceiling (duty 1.0).
 _EU_DUTY = 0.01
 _US_DUTY = 1.0
+
+_LORA_CR = Fraction(4, 5)           # LoRaWAN uplink default
 
 _LORA_PLAN_EU = RegionalPlan(
     duty_cycle=_EU_DUTY,
@@ -141,30 +131,31 @@ _LORA_PLAN_EU = RegionalPlan(
     num_ocw_channels=LORA_CHANNELS_EU,
 )
 
-# (region, DR) -> (profile, plan).  LoRa-E plans read: duty cycle, OCW
+# (region, DR) -> (profile, plan).  Profiles read: alias, coding rate, max
+# payload, spreading factor (LoRa only).  LoRa-E plans read: duty cycle, OCW
 # width, sub-carrier width, minimum hop separation, OCW channels.
 _DATA_RATES: dict[tuple[str, str], tuple[DataRateProfile, RegionalPlan]] = {
     # EU868 classic LoRa, DR0..DR5 = SF12..SF7 at 125 kHz
-    (EU868, "DR0"): (_lora_profile("DR0", 12, 51), _LORA_PLAN_EU),
-    (EU868, "DR1"): (_lora_profile("DR1", 11, 51), _LORA_PLAN_EU),
-    (EU868, "DR2"): (_lora_profile("DR2", 10, 51), _LORA_PLAN_EU),
-    (EU868, "DR3"): (_lora_profile("DR3", 9, 115), _LORA_PLAN_EU),
-    (EU868, "DR4"): (_lora_profile("DR4", 8, 222), _LORA_PLAN_EU),
-    (EU868, "DR5"): (_lora_profile("DR5", 7, 222), _LORA_PLAN_EU),
+    (EU868, "DR0"): (DataRateProfile("DR0", _LORA_CR, 51, 12), _LORA_PLAN_EU),
+    (EU868, "DR1"): (DataRateProfile("DR1", _LORA_CR, 51, 11), _LORA_PLAN_EU),
+    (EU868, "DR2"): (DataRateProfile("DR2", _LORA_CR, 51, 10), _LORA_PLAN_EU),
+    (EU868, "DR3"): (DataRateProfile("DR3", _LORA_CR, 115, 9), _LORA_PLAN_EU),
+    (EU868, "DR4"): (DataRateProfile("DR4", _LORA_CR, 222, 8), _LORA_PLAN_EU),
+    (EU868, "DR5"): (DataRateProfile("DR5", _LORA_CR, 222, 7), _LORA_PLAN_EU),
     # EU868 LoRa-E, 137 kHz channels
-    (EU868, "DR8"): (_lorae_profile("DR8", Fraction(1, 3), 58),
+    (EU868, "DR8"): (DataRateProfile("DR8", Fraction(1, 3), 58),
                      RegionalPlan(_EU_DUTY, 137_000, OBW_HZ, 3_900, 7)),
-    (EU868, "DR9"): (_lorae_profile("DR9", Fraction(2, 3), 123),
+    (EU868, "DR9"): (DataRateProfile("DR9", Fraction(2, 3), 123),
                      RegionalPlan(_EU_DUTY, 137_000, OBW_HZ, 3_900, 4)),
     # EU868 LoRa-E, 336 kHz channels
-    (EU868, "DR10"): (_lorae_profile("DR10", Fraction(1, 3), 58),
+    (EU868, "DR10"): (DataRateProfile("DR10", Fraction(1, 3), 58),
                       RegionalPlan(_EU_DUTY, 336_000, OBW_HZ, 3_900, 7)),
-    (EU868, "DR11"): (_lorae_profile("DR11", Fraction(2, 3), 123),
+    (EU868, "DR11"): (DataRateProfile("DR11", Fraction(2, 3), 123),
                       RegionalPlan(_EU_DUTY, 336_000, OBW_HZ, 3_900, 4)),
     # US915 LoRa-E, 1.523 MHz channels
-    (US915, "DR5"): (_lorae_profile("DR5", Fraction(1, 3), 125),
+    (US915, "DR5"): (DataRateProfile("DR5", Fraction(1, 3), 125),
                      RegionalPlan(_US_DUTY, 1_523_000, OBW_HZ, 25_400, 8)),
-    (US915, "DR6"): (_lorae_profile("DR6", Fraction(2, 3), 125),
+    (US915, "DR6"): (DataRateProfile("DR6", Fraction(2, 3), 125),
                      RegionalPlan(_US_DUTY, 1_523_000, OBW_HZ, 25_400, 8)),
 }
 
@@ -199,7 +190,8 @@ def lora_time_on_air(profile: DataRateProfile, payload_bytes: int) -> float:
     """Airtime of one LoRa packet in ms (exact, not rounded).
 
     Standard LoRa airtime: 8 + 4.25 preamble symbols, explicit header, CRC
-    on, CR 4/5, low-data-rate optimisation at SF11/SF12 on 125 kHz.
+    on, the profile's coding rate (4/5), low-data-rate optimisation at
+    SF11/SF12 on 125 kHz.
     """
     if profile.family != LORA:
         raise ValueError(f"{profile.alias} is not a LoRa profile")
@@ -207,7 +199,7 @@ def lora_time_on_air(profile: DataRateProfile, payload_bytes: int) -> float:
     sf = profile.lora_spreading_factor
     t_sym = (2 ** sf) / LORA_BW_HZ * 1000.0
     de = 1 if sf >= 11 else 0
-    cr_code = 1                                    # CR 4/5
+    cr_code = profile.coding_rate.denominator - 4  # CR 4/(4 + cr_code)
     numer = 8 * payload_bytes - 4 * sf + 28 + 16   # explicit header, CRC on
     n_payload = 8 + max(math.ceil(numer / (4 * (sf - 2 * de))) * (cr_code + 4), 0)
     return (LORA_PREAMBLE_SYMBOLS + 4.25 + n_payload) * t_sym

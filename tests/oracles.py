@@ -15,8 +15,9 @@ import numpy as np
 
 from lorae_sim.engine import Outcome, Scenario, ScenarioResult
 from lorae_sim.hopping import SEED_COUNT
-from lorae_sim.params import (LORA, RegionalPlan, lora_time_on_air,
-                              lorae_fragment_durations)
+from lorae_sim.params import (LORA, RegionalPlan, dr_profile, lora_time_on_air,
+                              lorae_fragment_durations, max_packet_rate, regional_plan,
+                              time_on_air)
 from lorae_sim.traffic import DeviceConfig, device_stream
 
 M32 = 2 ** 32
@@ -99,6 +100,12 @@ def lorae_fragments(payload_bytes: int, cr: Fraction) -> list[int]:
 def lorae_airtime_ms(payload_bytes: int, cr: Fraction) -> int:
     replicas = 3 if cr == Fraction(1, 3) else 2
     return replicas * 233 + sum(lorae_fragments(payload_bytes, cr))
+
+
+def per_device_rate(region: str, dr: str, payload_bytes: int) -> float:
+    """Duty-cycle-max packets/hour for one device, from the package's own airtime."""
+    toa = time_on_air(dr_profile(region, dr), payload_bytes)
+    return max_packet_rate(regional_plan(region, dr), toa)
 
 
 def brute_force_collisions(intervals: list[tuple[object, int, int]]) -> list[bool]:

@@ -16,8 +16,7 @@ import pytest
 from lorae_sim.engine import run
 from lorae_sim.experiments import (CrossoverNotFound, CrossoverQuery, SweepSpec,
                                    _usable_cpus, aggregate, aggregate_capacity,
-                                   find_crossover, peak_point, per_device_rate,
-                                   sweep)
+                                   find_crossover, peak_point, sweep)
 from lorae_sim.hopping import SEED_COUNT, hop_hash_array, slot_matrix
 from lorae_sim.params import (EU868, US915, dr_profile, lorae_fragment_count,
                               lorae_time_on_air, regional_plan)
@@ -54,7 +53,7 @@ def test_criterion_1_per_device_rates():
         ("DR9", 10, 46.6, 0.03), ("DR9", 50, 20.1, 0.03),
     ]:
         _check(failures, f"{dr} {payload} B pkts/h",
-               per_device_rate(EU868, dr, payload), target, tol)
+               oracles.per_device_rate(EU868, dr, payload), target, tol)
     _finish("criterion 1 (per-device rates)", failures)
 
 
@@ -90,7 +89,7 @@ def test_criterion_3_lora_saturation():
     spec = SweepSpec(region=EU868, dr_aliases=tuple(LORA_DRS), payload_bytes=(10,),
                      device_counts=(18, 35, 50, 55, 60, 70, 100),
                      horizon_ms=4 * HOUR_MS, replications=3, master_seed=101)
-    points = aggregate(spec, sweep(spec))
+    points = aggregate(sweep(spec))
     for dr in LORA_DRS:
         peak = peak_point([p for p in points if p.dr == dr])
         ok = 35 <= peak.devices <= 65
@@ -116,7 +115,7 @@ def lorae_peak_curves():
     spec = SweepSpec(region=EU868, dr_aliases=("DR8", "DR9"), payload_bytes=(10,),
                      device_counts=counts, horizon_ms=HOUR_MS, replications=2,
                      master_seed=202)
-    points = aggregate(spec, sweep(spec))
+    points = aggregate(sweep(spec))
     by_dr = {dr: sorted((p for p in points if p.dr == dr), key=lambda p: p.devices)
              for dr in ("DR8", "DR9")}
     return by_dr, time.monotonic() - t0
@@ -173,14 +172,14 @@ def test_criterion_5_crossovers():
                          horizon_ms=HOUR_MS, replications=3, master_seed=303)
         label = f"{lorae_dr} vs {lora_dr} at {payload} B"
         try:
-            result = find_crossover(query, spec)
+            load = find_crossover(query, spec)
         except CrossoverNotFound as exc:
             print(f"  {label}: NOT BRACKETED ({exc})")
             failures.append(f"{label}: no crossover bracketed "
                             f"(target {target} pkts/h)")
         else:
             _check(failures, f"{label} crossover pkts/h",
-                   result.load_pkts_per_hour, target, 0.15)
+                   load, target, 0.15)
     _finish("criterion 5 (crossover loads)", failures)
 
 
@@ -191,7 +190,7 @@ def test_criterion_6_aggregate_capacity(lorae_peak_curves):
     spec = SweepSpec(region=EU868, dr_aliases=("DR0",), payload_bytes=(10,),
                      device_counts=(18, 35, 50, 55, 60, 70, 100),
                      horizon_ms=4 * HOUR_MS, replications=10, master_seed=404)
-    lora_peak = peak_point(aggregate(spec, sweep(spec)))
+    lora_peak = peak_point(aggregate(sweep(spec)))
     lora_capacity = aggregate_capacity(EU868, "DR0", lora_peak.offered_pkts_per_hour)
     print(f"  LoRa per-channel peak {lora_peak.offered_pkts_per_hour:.0f} pkts/h "
           f"at {lora_peak.devices} devices")

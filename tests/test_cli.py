@@ -169,6 +169,27 @@ def test_invalid_devices_fails(capsys):
     assert "integers" in capsys.readouterr().err
 
 
+def test_dr_list_parses_like_the_integer_lists(tmp_path, capsys):
+    # Parts are stripped and empty ones dropped, on the command line and in
+    # a config file alike.
+    run = ["--payload", "10", "--devices", "3", "--horizon-ms", "600000",
+           "--replications", "1"]
+    config = tmp_path / "run.cfg"
+    config.write_text("dr = DR0, DR1\n")
+    outputs = []
+    for dr_args in (["--dr", "DR0,DR1"], ["--dr", "dr0, dr1"], ["--dr", "DR0,DR1,"],
+                    ["--config", str(config)]):
+        assert main(["sweep", *dr_args, *run]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].count("\n") == 3
+    assert outputs[1:] == outputs[:1] * 3
+
+
+def test_empty_dr_list_names_the_option(capsys):
+    assert main(["sweep", "--dr", ",", "--payload", "10", "--devices", "3"]) == 2
+    assert "--dr" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["toa", "--region", "{}", "--dr", "dr8", "--payload", "10"],
     ["params", "--region", "{}"],

@@ -17,9 +17,10 @@ from lorae_sim.experiments import (AGGREGATE_COLUMNS, AggregatePoint,
                                    aggregate, aggregate_capacity, build_scenario,
                                    crossover_load, default_capacity_counts, emit,
                                    emit_aggregate, emit_results, find_crossover,
-                                   log_spaced_counts, peak_point, per_device_rate,
-                                   point_seed, sweep)
+                                   log_spaced_counts, peak_point, point_seed, sweep)
 from lorae_sim.params import dr_profile, time_on_air
+
+from oracles import per_device_rate
 
 
 def _spec(**overrides) -> SweepSpec:
@@ -63,7 +64,7 @@ def test_sweep_shape_and_determinism():
     rows = sweep(spec)
     assert len(rows) == 2 * 2   # counts x replications
     assert rows == sweep(spec)
-    points = aggregate(spec, rows)
+    points = aggregate(rows)
     assert [p.devices for p in points] == [5, 20]
     assert all(p.replications == 2 for p in points)
 
@@ -92,7 +93,7 @@ def test_point_seed_varies_with_coordinates():
 def test_aggregate_mean_and_std():
     spec = _spec(device_counts=(5,), replications=4)
     rows = sweep(spec)
-    (point,) = aggregate(spec, rows)
+    (point,) = aggregate(rows)
     goodputs = [r.goodput_bytes_per_hour for r in rows]
     assert point.mean_goodput_bytes_per_hour == pytest.approx(np.mean(goodputs))
     assert point.std_goodput_bytes_per_hour == pytest.approx(np.std(goodputs, ddof=1))
@@ -230,7 +231,7 @@ def test_find_crossover_runs_one_sweep_with_both_curves(monkeypatch):
     curves = {}
     for dr in ("DR0", "DR8"):
         one = replace(spec, dr_aliases=(dr,), payload_bytes=(10,))
-        curves[dr] = aggregate(one, sweep(one))
+        curves[dr] = aggregate(sweep(one))
     specs, seen = [], []
 
     def recording_sweep(one):
@@ -243,7 +244,7 @@ def test_find_crossover_runs_one_sweep_with_both_curves(monkeypatch):
 
     monkeypatch.setattr(experiments, "sweep", recording_sweep)
     monkeypatch.setattr(experiments, "crossover_load", recording_crossover)
-    assert find_crossover(_query(), spec).load_pkts_per_hour == 1.0
+    assert find_crossover(_query(), spec) == 1.0
     assert [(s.dr_aliases, s.payload_bytes) for s in specs] == [(("DR0", "DR8"), (10,))]
     for (loads, goodputs), dr in zip(seen, ("DR0", "DR8")):
         assert loads.tolist() == [p.offered_pkts_per_hour for p in curves[dr]]
@@ -311,7 +312,7 @@ def test_aggregate_capacity_scaling():
 
 
 def test_peak_point():
-    points = aggregate(_spec(device_counts=(5, 20)), sweep(_spec(device_counts=(5, 20))))
+    points = aggregate(sweep(_spec(device_counts=(5, 20))))
     assert peak_point(points).devices == 20   # goodput still rising at 20 devices
     with pytest.raises(ValueError):
         peak_point([])
@@ -359,7 +360,7 @@ def test_emit_results_deterministic_bytes(tmp_path):
 
 def test_emit_aggregate_has_scale_hint(tmp_path):
     spec = _spec()
-    points = aggregate(spec, sweep(spec))
+    points = aggregate(sweep(spec))
     path = tmp_path / "agg.csv"
     emit_aggregate(points, path)
     lines = path.read_text().splitlines()

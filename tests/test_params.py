@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -168,3 +169,10 @@ def test_provenance_csv_covers_all_profiles():
     fields = dict(zip(params.PROVENANCE_COLUMNS, dr8.split(",")))
     assert fields["fragments_max"] == "61"
     assert fields["toa_max_ms"] == "3737"
+
+
+def test_provenance_csv_equals_golden():
+    """Every stored and derived data-rate figure, byte for byte (``lorae-sim params``)."""
+    golden = Path(__file__).parent / "data" / "provenance_golden.csv"
+    text = csv_text(params.PROVENANCE_COLUMNS, params.provenance_rows())
+    assert text == golden.read_text(encoding="ascii")
