@@ -21,9 +21,11 @@ grid's emissions.  Before drawing, ``run`` refuses a scenario whose
 expected packets would not fit in physical memory.
 
 Draws: each device's stream gives its arrival schedule, then its packets'
-hopping seeds, then their grids.  The seeds and grids of a device come
-from one call for raw PCG64 words, reduced for a whole block of devices at
-once to exactly the values ``Generator.integers`` would draw.
+hopping seeds, then their grids.  The streams of a block of devices are
+seeded together, from one vectorised pass of SeedSequence's hash over the
+block's indices.  The seeds and grids of a device come from one call for
+raw PCG64 words, reduced for a whole block of devices at once to exactly
+the values ``Generator.integers`` would draw.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ import numpy as np
 from .hopping import SEED_COUNT, slot_matrix
 from .params import LORA, LORA_E, DataRateProfile, RegionalPlan, max_packet_rate
 from .params import lorae_fragment_count, lorae_fragment_durations, lora_time_on_air
-from .traffic import DeviceConfig, device_stream, generate_schedule
+from .traffic import DeviceConfig, device_streams, generate_schedule
 
 DEFAULT_HORIZON_MS = 4 * 3_600_000   # 4 simulated hours
-_DRAW_DEVICES = 1024                 # devices per generate_schedule call
+_DRAW_DEVICES = 1024                 # devices per block of streams, schedules and hop draws
 _EMISSION_BYTES = 83                 # peak RSS per emission of the grid being collided
 _HOP_DRAW_BYTES = 43                 # and per LoRa-E packet: hop seed and grid, grid split
 
@@ -141,9 +143,10 @@ def _draw_packets(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     Each device draws from its own stream: its arrival schedule first, then
     (LoRa-E only) one block of hopping seeds, then one block of grids, as
-    ``Generator.integers`` would draw them (see ``_hop_draws``).  Schedules
-    and hop draws are made ``_DRAW_DEVICES`` devices at a time, which keeps
-    the draw buffers small.  LoRa scenarios get empty seed and grid arrays.
+    ``Generator.integers`` would draw them (see ``_hop_draws``).  Streams,
+    schedules and hop draws are made ``_DRAW_DEVICES`` devices at a time,
+    which keeps the draw buffers small.  LoRa scenarios get empty seed and
+    grid arrays.
     """
     starts: list[np.ndarray] = []
     seeds: list[np.ndarray] = [np.empty(0, dtype=np.uint32)]
@@ -151,8 +154,7 @@ def _draw_packets(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarra
     lorae = scenario.profile.family == LORA_E
     n = len(scenario.devices)
     for first in range(0, n, _DRAW_DEVICES):
-        rngs = [device_stream(scenario.master_seed, index)
-                for index in range(first, min(first + _DRAW_DEVICES, n))]
+        rngs = device_streams(scenario.master_seed, first, min(first + _DRAW_DEVICES, n))
         schedule = generate_schedule(scenario.devices[first], scenario.horizon_ms, rngs)
         starts.append(schedule.start_times)
         if lorae:

@@ -7,12 +7,18 @@ duty-cycle-limited but no hard per-packet silent period is enforced.
 
 Each device owns an independent RNG stream spawned from the master seed by
 device index, so adding devices to a scenario never perturbs the schedules
-of existing ones.  A device's gaps are drawn from its stream 256 at a time,
-and a block is drawn only while every arrival so far fell inside the
-horizon.  ``generate_schedule`` runs these draws in rounds over many
-devices: each round fills one row per still-active device and turns all
-rows into arrival times with one running sum, so the Python work per
-device is one fill call per round.
+of existing ones.  ``device_streams`` builds the streams of a block of
+devices: one pass of numpy arithmetic over the block's indices computes
+the words ``SeedSequence(master, spawn_key=(index,))`` would seed each
+``PCG64`` with, so the streams are those of the contract without one
+``SeedSequence`` per device.
+
+A device's gaps are drawn from its stream 256 at a time, and a block is
+drawn only while every arrival so far fell inside the horizon.
+``generate_schedule`` runs these draws in rounds over many devices: each
+round fills one row per still-active device and turns all rows into
+arrival times with one running sum, so the Python work per device is one
+fill call per round.
 """
 
 from __future__ import annotations
@@ -25,6 +31,15 @@ import numpy as np
 from .params import DataRateProfile, RegionalPlan, check_payload, time_on_air
 
 _BLOCK = 256   # exponential draws are taken in fixed-size blocks
+
+# numpy.random.SeedSequence's hash: its pool size and constants, and the
+# number of uint64 words PCG64 seeds itself with.
+_POOL_WORDS = 4
+_STATE_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,8 +79,96 @@ class ArrivalSchedule:
 
 def device_stream(master_seed: int, device_index: int) -> np.random.Generator:
     """Independent per-device RNG stream spawned from the master seed."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(device_index,))))
+    return device_streams(master_seed, device_index, device_index + 1)[0]
+
+
+def device_streams(master_seed: int, first: int, stop: int) -> list[np.random.Generator]:
+    """The streams of devices ``first`` to ``stop - 1``, spawned from the master seed.
+
+    Device ``i``'s stream is ``Generator(PCG64(SeedSequence(master_seed,
+    spawn_key=(i,))))``, state for state; its seed words come from
+    ``_seed_words``.  Indices must lie in [0, 2**32).
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence   # first use loads numpy.random
+    ISeedSequence.register(_SeedWords)
+    words = _seed_words(master_seed, first, stop).view("<u8").astype(np.uint64, copy=False)
+    return [Generator(PCG64(_SeedWords(row))) for row in words]
+
+
+class _SeedWords:
+    """A seed sequence whose ``PCG64`` seed words are already computed.
+
+    ``PCG64`` seeds itself with one ``generate_state(4, np.uint64)`` call;
+    any other request means numpy changed how it seeds and is refused.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if (n_words, dtype) != (_STATE_WORDS, np.uint64):
+            raise ValueError(f"only generate_state({_STATE_WORDS}, uint64) is precomputed, "
+                             f"got generate_state({n_words}, {np.dtype(dtype)})")
+        return self.words
+
+
+def _seed_words(master_seed: int, first: int, stop: int) -> np.ndarray:
+    """Per index ``i`` in [first, stop), the 8 little-endian uint32 words of
+    ``SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, np.uint64)``.
+
+    NumPy fixes SeedSequence's hash for stream compatibility (NEP 19).  Its
+    entropy is the master seed's 32-bit words, least significant first and
+    zero-padded to the 4-word pool, then the index as one word.  The pool
+    takes the first 4 words, mixes every word into every other, then mixes
+    in each remaining word; the state words hash the pool in turn.  Every
+    step is uint32 arithmetic, so the master's words are 1-element arrays
+    and each step broadcasts over the block once the index has mixed in.
+    An index of 2**32 or more has two words, so it raises ``ValueError``.
+    """
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be non-negative, got {master_seed}")
+    if not 0 <= first <= stop <= 2 ** 32:
+        raise ValueError(f"device indices must lie in [0, 2**32), got [{first}, {stop})")
+    words = [master_seed >> shift & _MASK32
+             for shift in range(0, max(master_seed.bit_length(), 1), 32)]
+    entropy = [np.array([word], dtype=np.uint32)
+               for word in words + [0] * (_POOL_WORDS - len(words))]
+    entropy.append(np.arange(first, stop, dtype=np.int64).astype(np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_WORDS]]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    state = np.empty((stop - first, 2 * _STATE_WORDS), dtype="<u4")
+    hash_state = _hasher(_INIT_B, _MULT_B)
+    for column in range(state.shape[1]):
+        state[:, column] = hash_state(pool[column % _POOL_WORDS])
+    return state
+
+
+def _hasher(hash_const: int, mult: int):
+    """SeedSequence's hash with its running constant: each call xors in the
+    constant, steps it by ``mult``, multiplies by it and xor-shifts by 16."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 words."""
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> 16)
 
 
 def generate_schedule(cfg: DeviceConfig, horizon_ms: int,

@@ -18,7 +18,7 @@ from lorae_sim.hopping import SEED_COUNT
 from lorae_sim.params import (LORA, RegionalPlan, dr_profile, lora_time_on_air,
                               lorae_fragment_durations, max_packet_rate, regional_plan,
                               time_on_air)
-from lorae_sim.traffic import DeviceConfig, device_stream
+from lorae_sim.traffic import DeviceConfig
 
 M32 = 2 ** 32
 SCHEDULE_BLOCK = 256   # exponential gaps are drawn this many at a time
@@ -164,6 +164,13 @@ def reference_schedule(cfg: DeviceConfig, horizon_ms: int,
             times.append(t)
 
 
+def reference_stream(master_seed: int, device_index: int) -> np.random.Generator:
+    """The stream contract itself: device ``device_index``'s generator, seeded
+    by numpy's own ``SeedSequence`` rather than the package's block hash."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(master_seed, spawn_key=(device_index,))))
+
+
 def reference_draws(scenario: Scenario) -> list[tuple[list[int], list[int], list[int]]]:
     """Per device, in index order: its start times, hopping seeds and grids.
 
@@ -173,7 +180,7 @@ def reference_draws(scenario: Scenario) -> list[tuple[list[int], list[int], list
     plan = scenario.devices[0].plan
     draws = []
     for index, dev in enumerate(scenario.devices):
-        rng = device_stream(scenario.master_seed, index)
+        rng = reference_stream(scenario.master_seed, index)
         starts = reference_schedule(dev, scenario.horizon_ms, rng)
         if dev.profile.family == LORA:
             draws.append((starts, [], []))

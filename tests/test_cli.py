@@ -208,10 +208,19 @@ def test_sweep_rejects_a_repeated_device_count(capsys):
     assert "device_counts lists 5 more than once" in capsys.readouterr().err
 
 
+def _loaded_by_cli_import(modules: set[str]) -> str:
+    """Which of ``modules`` a fresh ``import lorae_sim.cli`` loads, as a sorted list."""
+    code = f"import sys, lorae_sim.cli; print(sorted({modules!r} & set(sys.modules)))"
+    return subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": _SRC}).stdout.strip()
+
+
 def test_import_starts_no_pool_machinery():
     # The pool modules are imported inside sweep, so the CLI starts fast.
-    code = ("import sys, lorae_sim.cli; "
-            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": _SRC}).stdout
-    assert out.strip() == "[]"
+    assert _loaded_by_cli_import({"concurrent.futures", "multiprocessing"}) == "[]"
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # Streams import numpy.random when the first one is built, so a sweep's
+    # parent process, which draws nothing, never loads it.
+    assert _loaded_by_cli_import({"numpy.random"}) == "[]"

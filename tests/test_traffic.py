@@ -1,4 +1,4 @@
-"""Poisson arrival schedules and per-device stream independence."""
+"""Poisson arrival schedules, per-device streams and their independence."""
 
 from __future__ import annotations
 
@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from lorae_sim import traffic
+from lorae_sim.engine import _DRAW_DEVICES
 from lorae_sim.params import EU868, dr_profile, regional_plan, time_on_air
-from lorae_sim.traffic import DeviceConfig, device_stream, generate_schedule
+from lorae_sim.traffic import DeviceConfig, device_stream, device_streams, generate_schedule
 
 import oracles
 
@@ -24,6 +26,73 @@ def test_device_config_validates_payload():
     assert cfg.time_on_air_ms == 1337
     assert cfg.mean_interarrival_ms == pytest.approx(133_700)
 
+
+# --- device streams ----------------------------------------------------------
+
+# 2**128 + 3 has five 32-bit words, one more than SeedSequence's pool, so it
+# takes the branch that mixes in the entropy left over after the pool.
+MASTERS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 128 + 3, 2 ** 200]
+
+
+def _assert_streams_equal_reference(master: int, first: int, stop: int) -> None:
+    streams = device_streams(master, first, stop)
+    assert len(streams) == stop - first
+    for index, rng in zip(range(first, stop), streams):
+        ref = oracles.reference_stream(master, index)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(rng.standard_exponential(64), ref.standard_exponential(64))
+
+
+@pytest.mark.parametrize("master", MASTERS)
+@pytest.mark.parametrize("first, stop", [
+    (0, 2),
+    (_DRAW_DEVICES - 1, _DRAW_DEVICES + 1),      # 1023 and 1024
+    (2 ** 31 - 1, 2 ** 31 + 1),
+    (2 ** 32 - 2, 2 ** 32),                      # the last index with one word
+])
+def test_device_streams_equal_seed_sequence(master, first, stop):
+    _assert_streams_equal_reference(master, first, stop)
+    for index in range(first, stop):   # and the one-device form
+        assert (device_stream(master, index).bit_generator.state
+                == oracles.reference_stream(master, index).bit_generator.state)
+
+
+@pytest.mark.parametrize("master", [0, 2 ** 128 + 3])
+def test_device_streams_equal_seed_sequence_over_blocks(master):
+    # A block longer than the engine's, straddling two of its boundaries.
+    _assert_streams_equal_reference(master, _DRAW_DEVICES - 2, 2 * _DRAW_DEVICES + 2)
+
+
+def test_empty_block_has_no_streams():
+    assert device_streams(3, 7, 7) == []
+
+
+@pytest.mark.parametrize("first, stop", [
+    (2 ** 32, 2 ** 32 + 1), (2 ** 32 - 1, 2 ** 32 + 1), (-1, 1), (5, 4)])
+def test_seed_words_refuse_indices_outside_one_word(first, stop):
+    # SeedSequence would hash 2**32 as two words; the block hash has one per
+    # index, so such an index is refused rather than hashed differently.
+    with pytest.raises(ValueError, match="device indices"):
+        traffic._seed_words(0, first, stop)
+
+
+def test_seed_words_refuse_a_negative_master():
+    with pytest.raises(ValueError, match="master_seed"):
+        traffic._seed_words(-1, 0, 1)
+
+
+@pytest.mark.parametrize("n_words, dtype", [
+    (4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64), (4, np.int64)])
+def test_seed_words_serve_only_pcg64s_request(n_words, dtype):
+    # PCG64 asks for generate_state(4, uint64); should numpy ever ask for
+    # anything else, the precomputed words must fail loudly.
+    words = np.arange(4, dtype=np.uint64)
+    assert traffic._SeedWords(words).generate_state(4, np.uint64) is words
+    with pytest.raises(ValueError, match="generate_state"):
+        traffic._SeedWords(words).generate_state(n_words, dtype)
+
+
+# --- arrival schedules -------------------------------------------------------
 
 def test_schedule_deterministic_and_increasing():
     cfg = _config()
