@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import NoReturn, Sequence
 
 from . import params
-from .experiments import (AGGREGATE_COLUMNS, CrossoverNotFound, CrossoverQuery, SweepSpec,
+from .experiments import (AGGREGATE_COLUMNS, CrossoverNotFound, SweepSpec,
                           aggregate, aggregate_capacity, aggregate_row, csv_text,
                           default_capacity_counts, emit, emit_aggregate, emit_results,
                           find_crossover, log_spaced_counts, peak_point, sweep)
@@ -30,10 +30,6 @@ from .params import dr_profile, regional_plan
 _RUN_OPTIONS = {"horizon_ms": ("--horizon-ms", "simulated horizon in ms"),
                 "replications": ("--replications", "seeds per point"),
                 "master_seed": ("--seed", "master seed")}
-
-
-class CliError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,7 +75,7 @@ def _dr_list(text: str) -> tuple[str, ...]:
 def _sweep_spec(args: argparse.Namespace, dr_aliases: tuple[str, ...],
                 payload_bytes: tuple[int, ...]) -> SweepSpec:
     if args.devices is None:
-        raise CliError("missing required option --devices or --devices-log")
+        raise ValueError("missing required option --devices or --devices-log")
     given = {dest: value for dest, value in vars(args).items() if dest in _RUN_OPTIONS}
     return SweepSpec(args.region, dr_aliases, payload_bytes, args.devices, **given)
 
@@ -89,7 +85,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
     if args.region is not None:
         rows = [row for row in rows if row[0] == args.region]   # column 0: region
         if not rows:
-            raise CliError(f"unknown region {args.region!r}")
+            raise ValueError(f"unknown region {args.region!r}")
     if args.out is None:
         print(csv_text(params.PROVENANCE_COLUMNS, rows), end="")
     else:
@@ -126,12 +122,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_crossover(args: argparse.Namespace) -> int:
-    query = CrossoverQuery(args.lora_dr, args.lorae_dr, args.payload)
-    load = find_crossover(query, _sweep_spec(args, (query.lora_dr, query.lorae_dr),
-                                             (query.payload_bytes,)))
+    load = find_crossover(_sweep_spec(args, (args.lora_dr, args.lorae_dr), (args.payload,)))
     print(f"crossover_pkts_h={load:.1f} "
-          f"lora_dr={query.lora_dr} lorae_dr={query.lorae_dr} "
-          f"payload_B={query.payload_bytes}")
+          f"lora_dr={args.lora_dr} lorae_dr={args.lorae_dr} "
+          f"payload_B={args.payload}")
     return 0
 
 
@@ -193,9 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("crossover", "load where LoRa-E goodput passes LoRa", _cmd_crossover)
     p.add_argument("--lora-dr", type=str.upper, required=True,
-                   help="LoRa data rate (DR0..DR5)")
+                   help="LoRa data rate alias of the region")
     p.add_argument("--lorae-dr", type=str.upper, required=True,
-                   help="LoRa-E data rate (DR8 or DR9)")
+                   help="LoRa-E data rate alias of the region")
     p.add_argument("--payload", type=int, required=True, help="payload size in bytes")
     _add_sweep_options(p)
 
@@ -233,10 +227,10 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
         if not line:
             continue
         if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in known:
-            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key in takes:
             flags.append(f"--{key.replace('_', '-')}={value}")
     return [argv[0], *flags, *argv[1:]]
@@ -251,7 +245,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CrossoverNotFound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (argparse.ArgumentError, CliError, ValueError, LookupError, OSError) as exc:
+    except (argparse.ArgumentError, ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

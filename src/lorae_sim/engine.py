@@ -18,7 +18,7 @@ block, collided and decoded on their own, header replicas first, all built
 from one emission template, since a scenario has one data rate and one
 payload size.  Peak memory is then the per-packet draws plus the busiest
 grid's emissions.  Before drawing, ``run`` refuses a scenario whose
-expected packets would not fit in physical memory.
+expected packets would not fit in physical memory (``check_memory``).
 
 Draws: each device's stream gives its arrival schedule, then its packets'
 hopping seeds, then their grids.  The streams of a block of devices are
@@ -332,12 +332,11 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def run(scenario: Scenario) -> ScenarioResult:
-    """Simulate one scenario deterministically and return its counters.
+def check_memory(scenario: Scenario) -> int:
+    """How many runs of ``scenario`` physical memory holds at once, at least 1.
 
-    Raises ``ScenarioConfigError`` before drawing anything when the expected
-    packet count (offered load x horizon) would need more than the
-    machine's physical memory.
+    Raises ``ScenarioConfigError`` when the expected packet count (offered
+    load x horizon) would need more than the machine's physical memory.
     """
     need, limit = expected_bytes(scenario), physical_memory()
     if need > limit:
@@ -345,6 +344,15 @@ def run(scenario: Scenario) -> ScenarioResult:
         raise ScenarioConfigError(
             f"about {need / per_packet:.4g} packets would need {need:.4g} B "
             f"at {per_packet} B a packet, over the {limit:.4g} B of physical memory")
+    return int(limit // need)
+
+
+def run(scenario: Scenario) -> ScenarioResult:
+    """Simulate one scenario deterministically and return its counters.
+
+    Raises ``check_memory``'s error before drawing anything.
+    """
+    check_memory(scenario)
     start, seeds, grids = _draw_packets(scenario)
     if scenario.profile.family == LORA:
         return _run_lora(scenario, start)

@@ -9,9 +9,11 @@ per CPU the process may use, with results identical to an in-process run.
 
 Crossovers compare LoRa against LoRa-E goodput as functions of offered
 load (generated packets per hour, device count x duty-cycle-max rate) and
-locate where the LoRa-E curve first rises above the LoRa curve.  Aggregate
-capacity scales a measured per-channel peak load by the number of channels
-(and data rates, for LoRa, which gets one scenario per DR).
+locate where the LoRa-E curve first rises above the LoRa curve.  Any LoRa
+rate of a region can meet any LoRa-E rate of it; ``lorae-sim params``
+lists each rate's family.  Aggregate capacity scales a measured
+per-channel peak load by the number of channels (and data rates, for
+LoRa, which gets one scenario per DR).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import itertools
 import os
 import sys
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from statistics import mean, stdev
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import engine, hopping, params, traffic
 from .engine import DEFAULT_HORIZON_MS, Outcome, Scenario, ScenarioResult, run
-from .params import LORA, LORA_DR_COUNT_EU, dr_profile, regional_plan
+from .params import LORA, LORA_DR_COUNT_EU, LORA_E, dr_profile, regional_plan
 from .traffic import DeviceConfig
 
 
@@ -80,27 +82,11 @@ class AggregatePoint:
     replications: int
 
 
-@dataclass(frozen=True, slots=True)
-class CrossoverQuery:
-    """Which LoRa DR meets which LoRa-E DR, at what payload size."""
-
-    lora_dr: str
-    lorae_dr: str
-    payload_bytes: int
-
-    def __post_init__(self) -> None:
-        if self.lora_dr not in {f"DR{i}" for i in range(6)}:
-            raise ValueError(f"lora_dr must be DR0..DR5, got {self.lora_dr}")
-        if self.lorae_dr not in {"DR8", "DR9"}:
-            raise ValueError(f"lorae_dr must be DR8 or DR9, got {self.lorae_dr}")
-
-
 class CrossoverNotFound(RuntimeError):
-    """No sign change brackets a crossover on the sweept load range."""
+    """No sign change brackets a crossover on the swept load range."""
 
-    def __init__(self, query: CrossoverQuery, loads: Sequence[float],
+    def __init__(self, label: str, loads: Sequence[float],
                  lora_goodput: Sequence[float], lorae_goodput: Sequence[float]):
-        self.query = query
         self.loads = tuple(loads)
         self.lora_goodput = tuple(lora_goodput)
         self.lorae_goodput = tuple(lorae_goodput)
@@ -109,8 +95,7 @@ class CrossoverNotFound(RuntimeError):
                 f"LoRa-E goodput [{lorae_goodput[0]:.0f}, {lorae_goodput[-1]:.0f}] B/h"
                 if loads else "empty load range")
         super().__init__(
-            f"no LoRa/LoRa-E goodput crossover bracketed for {query.lora_dr} vs "
-            f"{query.lorae_dr} at {query.payload_bytes} B; {ends}")
+            f"no LoRa/LoRa-E goodput crossover bracketed for {label}; {ends}")
 
 
 def point_seed(master_seed: int, region: str, dr: str, payload_bytes: int,
@@ -157,21 +142,25 @@ def _pool_size(spec: SweepSpec, points: int) -> int:
 
     One per usable CPU, but no more than there are points, and no more
     than physical memory holds at once by ``run``'s own estimate for the
-    largest point.  Also 1 when a function a point looks up is no longer
-    the one defined at import (a tracer or a mock put another in its
-    place): what a replacement records in a worker never reaches this
-    process.  Only a replaced function does this; ``cProfile`` replaces
-    none, so a profiled sweep still starts a pool.  Profile one under
-    ``taskset -c 0``, which leaves one usable CPU.
+    largest point.  That estimate is checked for every sweep of several
+    points, so a point too large for memory stops the sweep before any
+    point runs; ``run`` checks a lone point itself.  Also 1 when a
+    function a point looks up is no longer the one defined at import (a
+    tracer or a mock put another in its place): what a replacement
+    records in a worker never reaches this process.  Only a replaced
+    function does this; ``cProfile`` replaces none, so a profiled sweep
+    still starts a pool.  Profile one under ``taskset -c 0``, which leaves
+    one usable CPU.
     """
-    workers = min(points, _usable_cpus())
-    if workers <= 1 or _point_namespace() != _AS_DEFINED:
+    if points == 1:
         return 1
-    largest = max(engine.expected_bytes(build_scenario(spec.region, dr, payload,
-                                                       max(spec.device_counts),
-                                                       spec.horizon_ms, 0))
-                  for dr in spec.dr_aliases for payload in spec.payload_bytes)
-    return max(1, min(workers, int(engine.physical_memory() // largest)))
+    fit = min(engine.check_memory(build_scenario(spec.region, dr, payload,
+                                                 max(spec.device_counts),
+                                                 spec.horizon_ms, 0))
+              for dr in spec.dr_aliases for payload in spec.payload_bytes)
+    if _point_namespace() != _AS_DEFINED:
+        return 1
+    return min(points, _usable_cpus(), fit)
 
 
 def sweep(spec: SweepSpec) -> list[ScenarioResult]:
@@ -221,7 +210,7 @@ def aggregate(results: Iterable[ScenarioResult]) -> list[AggregatePoint]:
     return points
 
 
-def crossover_load(query: CrossoverQuery,
+def crossover_load(label: str,
                    lora_curve: tuple[np.ndarray, np.ndarray],
                    lorae_curve: tuple[np.ndarray, np.ndarray]) -> float:
     """First load where the LoRa-E goodput curve rises above the LoRa one.
@@ -231,6 +220,7 @@ def crossover_load(query: CrossoverQuery,
     first LoRa-ahead to LoRa-E-ahead transition is located by linear
     interpolation.  A crossover must be bracketed: the range has to start
     with LoRa ahead (or tied) and end with LoRa-E ahead somewhere.
+    ``label`` names the comparison in ``CrossoverNotFound``'s message.
     """
     lora_loads, lora_g = lora_curve
     lorae_loads, lorae_g = lorae_curve
@@ -242,29 +232,35 @@ def crossover_load(query: CrossoverQuery,
     g_lorae = np.interp(grid, lorae_loads, lorae_g)
     diff = g_lorae - g_lora
     if grid.size == 0 or diff[0] > 0 or not (diff > 0).any():
-        raise CrossoverNotFound(query, grid.tolist(), g_lora.tolist(), g_lorae.tolist())
+        raise CrossoverNotFound(label, grid.tolist(), g_lora.tolist(), g_lorae.tolist())
     i = int(np.argmax(diff > 0))          # first point strictly ahead
     x0, x1 = grid[i - 1], grid[i]
     d0, d1 = diff[i - 1], diff[i]
     return float(x0 + (x1 - x0) * (0.0 - d0) / (d1 - d0))
 
 
-def find_crossover(query: CrossoverQuery, spec: SweepSpec) -> float:
+def find_crossover(spec: SweepSpec) -> float:
     """Smallest load (pkt/h) at which LoRa-E mean goodput exceeds LoRa's.
 
-    Both data rates run in one sweep of ``spec.device_counts``; each curve
+    ``spec`` lists a LoRa rate of its region, then a LoRa-E one, and one
+    payload.  Both run in one sweep of ``spec.device_counts``; each curve
     is its DR's (offered load, mean goodput) points in device order.
     """
-    both = replace(spec, dr_aliases=(query.lora_dr, query.lorae_dr),
-                   payload_bytes=(query.payload_bytes,))
-    points = aggregate(sweep(both))
+    families = [dr_profile(spec.region, dr).family for dr in spec.dr_aliases]
+    if families != [LORA, LORA_E] or len(spec.payload_bytes) != 1:
+        raise ValueError(f"a crossover needs a LoRa then a LoRa-E rate of {spec.region} "
+                         f"and one payload, got rates {', '.join(spec.dr_aliases)} "
+                         f"and payloads {', '.join(map(str, spec.payload_bytes))} B")
+    points = aggregate(sweep(spec))
 
     def curve(dr: str) -> tuple[np.ndarray, np.ndarray]:
         rows = [p for p in points if p.dr == dr]   # aggregate sorts by devices
         return (np.array([p.offered_pkts_per_hour for p in rows]),
                 np.array([p.mean_goodput_bytes_per_hour for p in rows]))
 
-    return crossover_load(query, curve(query.lora_dr), curve(query.lorae_dr))
+    lora_dr, lorae_dr = spec.dr_aliases
+    return crossover_load(f"{lora_dr} vs {lorae_dr} at {spec.payload_bytes[0]} B",
+                          curve(lora_dr), curve(lorae_dr))
 
 
 def aggregate_capacity(region: str, dr: str, per_channel_peak_pkts_per_hour: float) -> float:

@@ -77,11 +77,6 @@ class ArrivalSchedule:
     counts: np.ndarray
 
 
-def device_stream(master_seed: int, device_index: int) -> np.random.Generator:
-    """Independent per-device RNG stream spawned from the master seed."""
-    return device_streams(master_seed, device_index, device_index + 1)[0]
-
-
 def device_streams(master_seed: int, first: int, stop: int) -> list[np.random.Generator]:
     """The streams of devices ``first`` to ``stop - 1``, spawned from the master seed.
 

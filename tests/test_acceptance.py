@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from lorae_sim.engine import run
-from lorae_sim.experiments import (CrossoverNotFound, CrossoverQuery, SweepSpec,
-                                   _usable_cpus, aggregate, aggregate_capacity,
-                                   find_crossover, peak_point, sweep)
+from lorae_sim.experiments import (CrossoverNotFound, SweepSpec, _usable_cpus, aggregate,
+                                   aggregate_capacity, find_crossover, peak_point, sweep)
 from lorae_sim.hopping import SEED_COUNT, hop_hash_array, slot_matrix
 from lorae_sim.params import (EU868, US915, dr_profile, lorae_fragment_count,
                               lorae_time_on_air, regional_plan)
@@ -165,14 +164,12 @@ def test_criterion_5_crossovers():
         ("DR5", "DR9", 10, 23_000, (15, 30, 60, 120, 240, 480, 960, 1_900)),
     ]
     for lora_dr, lorae_dr, payload, target, counts in cases:
-        query = CrossoverQuery(lora_dr=lora_dr, lorae_dr=lorae_dr,
-                               payload_bytes=payload)
         spec = SweepSpec(region=EU868, dr_aliases=(lora_dr, lorae_dr),
                          payload_bytes=(payload,), device_counts=counts,
                          horizon_ms=HOUR_MS, replications=3, master_seed=303)
         label = f"{lorae_dr} vs {lora_dr} at {payload} B"
         try:
-            load = find_crossover(query, spec)
+            load = find_crossover(spec)
         except CrossoverNotFound as exc:
             print(f"  {label}: NOT BRACKETED ({exc})")
             failures.append(f"{label}: no crossover bracketed "

@@ -154,6 +154,24 @@ def test_crossover_not_found_exits_1(capsys):
     assert "no LoRa/LoRa-E goodput crossover" in capsys.readouterr().err
 
 
+def test_crossover_takes_any_lora_e_rate_of_the_region(capsys):
+    # EU868 DR10 is a LoRa-E rate of the data-rate table.
+    code = main(["crossover", "--lora-dr", "DR0", "--lorae-dr", "DR10",
+                 "--payload", "10", "--devices", "2,3",
+                 "--horizon-ms", "3600000", "--replications", "1"])
+    assert code in (0, 1)
+    if code == 1:   # not bracketed
+        assert "crossover bracketed for DR0 vs DR10 at 10 B" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("region, lora_dr, lorae_dr", [
+    ("EU868", "DR8", "DR0"), ("US915", "DR5", "DR6")])
+def test_crossover_refuses_rates_of_the_wrong_family(capsys, region, lora_dr, lorae_dr):
+    assert main(["crossover", "--region", region, "--lora-dr", lora_dr,
+                 "--lorae-dr", lorae_dr, "--payload", "10", "--devices", "2,3"]) == 2
+    assert f"LoRa-E rate of {region}" in capsys.readouterr().err
+
+
 def test_capacity_subcommand(capsys):
     assert main(["capacity", "--dr", "DR0", "--payload", "10", "--devices",
                  "30,50,70", "--horizon-ms", "7200000", "--replications", "2",

@@ -14,7 +14,7 @@ from lorae_sim.engine import (Outcome, Scenario, ScenarioConfigError, _collide_a
                               lora_grid_duration_ms, run)
 from lorae_sim.experiments import RESULT_COLUMNS, csv_row
 from lorae_sim.params import EU868, US915, dr_profile, max_packet_rate, regional_plan
-from lorae_sim.traffic import DeviceConfig, device_stream
+from lorae_sim.traffic import DeviceConfig, device_streams
 
 import oracles
 
@@ -82,10 +82,10 @@ def test_hop_draws_equal_integers(high, count):
     # at 3 << 30 a quarter of all draws are rejected and redrawn.
     counts = np.array([count, 0, count + 1, 2 * count, 3])
     for num_seeds, num_grids in ((high, high), (engine.SEED_COUNT, high), (high, 8)):
-        rngs = [device_stream(9, i) for i in range(len(counts))]
+        rngs = device_streams(9, 0, len(counts))
         seeds, grids = engine._hop_draws(rngs, counts, num_seeds, num_grids)
         assert seeds.dtype == grids.dtype == np.uint32
-        rngs = [device_stream(9, i) for i in range(len(counts))]
+        rngs = device_streams(9, 0, len(counts))
         assert (seeds.tolist(), grids.tolist()) == _integers_draws(rngs, counts.tolist(),
                                                                    num_seeds, num_grids)
 
@@ -94,7 +94,7 @@ def test_hop_draws_equal_integers(high, count):
 def test_hop_draws_need_2_to_2_32_values(high):
     # integers(0, 1) consumes no words, so no raw word can stand for its draw.
     with pytest.raises(ValueError, match="2 to 2\\*\\*32 values"):
-        engine._hop_draws([device_stream(0, 0)], np.array([3]), 512, high)
+        engine._hop_draws(device_streams(0, 0, 1), np.array([3]), 512, high)
 
 
 def test_draws_equal_oracle_when_draws_are_rejected(monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from lorae_sim import engine, experiments
 from lorae_sim.engine import ScenarioConfigError, run
 from lorae_sim.experiments import (AGGREGATE_COLUMNS, AggregatePoint,
-                                   CrossoverNotFound, CrossoverQuery, SweepSpec,
+                                   CrossoverNotFound, SweepSpec,
                                    aggregate, aggregate_capacity, build_scenario,
                                    crossover_load, default_capacity_counts, emit,
                                    emit_aggregate, emit_results, find_crossover,
@@ -191,14 +191,35 @@ def test_pool_size_fits_physical_memory(monkeypatch):
     spec = _spec(dr_aliases=("DR0", "DR8"), device_counts=(3, 12), replications=2)
     largest = max(engine.expected_bytes(build_scenario("EU868", dr, 10, 12, spec.horizon_ms, 0))
                   for dr in ("DR0", "DR8"))
-    for pages, size in ((int(largest) - 1, 1), (int(2 * largest) - 1, 1),
-                        (int(2 * largest) + 1, 2)):
+    for pages, size in ((int(2 * largest) - 1, 1), (int(2 * largest) + 1, 2)):
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": pages}.get)
         assert experiments._pool_size(spec, 8) == size
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1,
+                                        "SC_PHYS_PAGES": int(largest) - 1}.get)
+    with pytest.raises(ScenarioConfigError, match="physical memory"):
+        experiments._pool_size(spec, 8)
     monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1,
                                         "SC_PHYS_PAGES": int(2 * largest) - 1}.get)
     assert sweep(spec) == _per_point_runs(spec)
     assert pools == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_refuses_a_point_too_large_for_memory_before_any_point_runs(monkeypatch, cpus):
+    # Memory holds the 3-device points but not the 12-device ones.
+    _set_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_pool)
+    spec = _spec(dr_aliases=("DR8",), device_counts=(3, 12), replications=2)
+    small, large = (engine.expected_bytes(build_scenario("EU868", "DR8", 10, n,
+                                                         spec.horizon_ms, 0))
+                    for n in spec.device_counts)
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1,
+                                        "SC_PHYS_PAGES": int((small + large) / 2)}.get)
+    ran = []
+    monkeypatch.setattr(experiments, "run", ran.append)
+    with pytest.raises(ScenarioConfigError, match="physical memory"):
+        sweep(spec)
+    assert ran == []
 
 
 def _fail_points() -> None:
@@ -225,30 +246,45 @@ def test_pooled_sweep_reraises_a_worker_error(monkeypatch):
 
 
 def test_find_crossover_runs_one_sweep_with_both_curves(monkeypatch):
-    # The query's DRs and payload replace the spec's; each curve equals
-    # the aggregate of a sweep of its DR alone.
-    spec = _spec(dr_aliases=("DR5",), payload_bytes=(50,), device_counts=(2, 8, 30))
-    curves = {}
-    for dr in ("DR0", "DR8"):
-        one = replace(spec, dr_aliases=(dr,), payload_bytes=(10,))
-        curves[dr] = aggregate(sweep(one))
+    # Each curve equals the aggregate of a sweep of its DR alone.
+    spec = _spec(dr_aliases=("DR0", "DR8"), device_counts=(2, 8, 30))
+    curves = {dr: aggregate(sweep(replace(spec, dr_aliases=(dr,)))) for dr in ("DR0", "DR8")}
     specs, seen = [], []
 
     def recording_sweep(one):
         specs.append(one)
         return sweep(one)
 
-    def recording_crossover(q, lora, lorae):
-        seen.extend([lora, lorae])
+    def recording_crossover(label, lora, lorae):
+        seen.extend([label, lora, lorae])
         return 1.0
 
     monkeypatch.setattr(experiments, "sweep", recording_sweep)
     monkeypatch.setattr(experiments, "crossover_load", recording_crossover)
-    assert find_crossover(_query(), spec) == 1.0
-    assert [(s.dr_aliases, s.payload_bytes) for s in specs] == [(("DR0", "DR8"), (10,))]
-    for (loads, goodputs), dr in zip(seen, ("DR0", "DR8")):
+    assert find_crossover(spec) == 1.0
+    assert specs == [spec]
+    assert seen[0] == "DR0 vs DR8 at 10 B"
+    for (loads, goodputs), dr in zip(seen[1:], ("DR0", "DR8")):
         assert loads.tolist() == [p.offered_pkts_per_hour for p in curves[dr]]
         assert goodputs.tolist() == [p.mean_goodput_bytes_per_hour for p in curves[dr]]
+
+
+def test_find_crossover_spec_validation(monkeypatch):
+    # A LoRa rate of the region, then a LoRa-E one, and one payload; the
+    # error names the region, the rates and the payloads before any sweep.
+    def refuse(spec):
+        raise AssertionError("find_crossover swept a spec it should refuse")
+
+    monkeypatch.setattr(experiments, "sweep", refuse)
+    for drs, payloads in ((("DR8", "DR0"), (10,)),          # LoRa-E first
+                          (("DR0", "DR5"), (10,)),          # two LoRa rates
+                          (("DR8", "DR9"), (10,)),          # two LoRa-E rates
+                          (("DR0",), (10,)),                # one rate
+                          (("DR0", "DR8", "DR9"), (10,)),   # three rates
+                          (("DR0", "DR8"), (10, 50))):      # two payloads
+        with pytest.raises(ValueError, match=(f"EU868 .* rates {', '.join(drs)} and "
+                                              f"payloads {', '.join(map(str, payloads))} B")):
+            find_crossover(_spec(dr_aliases=drs, payload_bytes=payloads))
 
 
 # --- per-device rates ----------------------------------------------------------
@@ -265,29 +301,21 @@ def test_per_device_rates(dr, payload, rate):
 
 # --- crossover ------------------------------------------------------------------
 
-def _query() -> CrossoverQuery:
-    return CrossoverQuery(lora_dr="DR0", lorae_dr="DR8", payload_bytes=10)
-
-
-def test_crossover_query_validation():
-    with pytest.raises(ValueError):
-        CrossoverQuery(lora_dr="DR8", lorae_dr="DR8", payload_bytes=10)
-    with pytest.raises(ValueError):
-        CrossoverQuery(lora_dr="DR0", lorae_dr="DR10", payload_bytes=10)
+_LABEL = "DR0 vs DR8 at 10 B"
 
 
 def test_crossover_interpolates_between_grid_points():
     lora = (np.array([100.0, 200.0, 300.0]), np.array([900.0, 1000.0, 600.0]))
     lorae = (np.array([100.0, 200.0, 300.0]), np.array([700.0, 900.0, 1100.0]))
     # diff: -100 at 200, +500 at 300 -> zero at 200 + 100 * 100/600
-    load = crossover_load(_query(), lora, lorae)
+    load = crossover_load(_LABEL, lora, lorae)
     assert load == pytest.approx(200 + 100 * 100 / 600)
 
 
 def test_crossover_handles_disjoint_grids():
     lora = (np.array([100.0, 300.0]), np.array([1000.0, 400.0]))
     lorae = (np.array([150.0, 250.0]), np.array([500.0, 1000.0]))
-    load = crossover_load(_query(), lora, lorae)
+    load = crossover_load(_LABEL, lora, lorae)
     assert 150 < load < 250
 
 
@@ -295,12 +323,14 @@ def test_crossover_not_found_reports_endpoints():
     lora = (np.array([100.0, 300.0]), np.array([1000.0, 900.0]))
     lorae_above = (np.array([100.0, 300.0]), np.array([1100.0, 1200.0]))
     with pytest.raises(CrossoverNotFound) as info:
-        crossover_load(_query(), lora, lorae_above)
+        crossover_load(_LABEL, lora, lorae_above)
     assert info.value.loads[0] == 100.0
-    assert "goodput" in str(info.value)
+    assert str(info.value) == ("no LoRa/LoRa-E goodput crossover bracketed for DR0 vs DR8 "
+                               "at 10 B; load [100, 300] pkt/h: LoRa goodput [1000, 900], "
+                               "LoRa-E goodput [1100, 1200] B/h")
     lorae_below = (np.array([100.0, 300.0]), np.array([500.0, 600.0]))
     with pytest.raises(CrossoverNotFound):
-        crossover_load(_query(), lora, lorae_below)
+        crossover_load(_LABEL, lora, lorae_below)
 
 
 # --- capacity scaling -----------------------------------------------------------

@@ -9,7 +9,7 @@ from scipy import stats
 from lorae_sim import traffic
 from lorae_sim.engine import _DRAW_DEVICES
 from lorae_sim.params import EU868, dr_profile, regional_plan, time_on_air
-from lorae_sim.traffic import DeviceConfig, device_stream, device_streams, generate_schedule
+from lorae_sim.traffic import DeviceConfig, device_streams, generate_schedule
 
 import oracles
 
@@ -52,8 +52,8 @@ def _assert_streams_equal_reference(master: int, first: int, stop: int) -> None:
 ])
 def test_device_streams_equal_seed_sequence(master, first, stop):
     _assert_streams_equal_reference(master, first, stop)
-    for index in range(first, stop):   # and the one-device form
-        assert (device_stream(master, index).bit_generator.state
+    for index in range(first, stop):   # and a block of one device
+        assert (device_streams(master, index, index + 1)[0].bit_generator.state
                 == oracles.reference_stream(master, index).bit_generator.state)
 
 
@@ -96,8 +96,8 @@ def test_seed_words_serve_only_pcg64s_request(n_words, dtype):
 
 def test_schedule_deterministic_and_increasing():
     cfg = _config()
-    a = generate_schedule(cfg, 36_000_000, [device_stream(5, 1)])
-    b = generate_schedule(cfg, 36_000_000, [device_stream(5, 1)])
+    a = generate_schedule(cfg, 36_000_000, device_streams(5, 1, 2))
+    b = generate_schedule(cfg, 36_000_000, device_streams(5, 1, 2))
     assert np.array_equal(a.start_times, b.start_times)
     assert all(t2 > t1 for t1, t2 in zip(a.start_times, a.start_times[1:]))
     assert all(0 < t < 36_000_000 for t in a.start_times)
@@ -105,7 +105,7 @@ def test_schedule_deterministic_and_increasing():
 
 def test_start_times_are_read_only_int64():
     schedule = generate_schedule(_config(), 36_000_000,
-                                 [device_stream(5, 1), device_stream(5, 2)])
+                                 device_streams(5, 1, 3))
     times = schedule.start_times
     assert times.dtype == np.int64
     assert not times.flags.writeable
@@ -116,7 +116,7 @@ def test_start_times_are_read_only_int64():
 def _arrival(cfg: DeviceConfig, seed: int, index: int) -> int:
     """Time of arrival ``index`` of device 0's stream, from a horizon far past it."""
     horizon = int(cfg.mean_interarrival_ms * 4 * (index + 1))
-    return oracles.reference_schedule(cfg, horizon, device_stream(seed, 0))[index]
+    return oracles.reference_schedule(cfg, horizon, oracles.reference_stream(seed, 0))[index]
 
 
 @pytest.mark.parametrize("dr, seed, horizon", [
@@ -128,7 +128,7 @@ def _arrival(cfg: DeviceConfig, seed: int, index: int) -> int:
 ])
 def test_schedule_equals_reference(dr, seed, horizon):
     cfg = _config(dr)
-    rng, ref_rng = device_stream(seed, 0), device_stream(seed, 0)
+    (rng,), ref_rng = device_streams(seed, 0, 1), oracles.reference_stream(seed, 0)
     times = generate_schedule(cfg, horizon, [rng]).start_times
     assert times.tolist() == oracles.reference_schedule(cfg, horizon, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -142,7 +142,7 @@ def test_schedule_equals_reference_at_block_boundaries(index, shift):
     # boundary, which decides whether one more block is drawn.
     cfg = _config("DR5")
     horizon = _arrival(cfg, 9, index) + shift
-    rng, ref_rng = device_stream(9, 0), device_stream(9, 0)
+    (rng,), ref_rng = device_streams(9, 0, 1), oracles.reference_stream(9, 0)
     times = generate_schedule(cfg, horizon, [rng]).start_times
     assert times.tolist() == oracles.reference_schedule(cfg, horizon, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -152,8 +152,8 @@ def _equals_reference_per_device(cfg: DeviceConfig, horizon: int, seed: int,
                                  devices: int) -> list[int]:
     """Check one batched schedule of ``devices`` streams against the per-gap
     oracle run device by device; return the arrival counts."""
-    rngs = [device_stream(seed, i) for i in range(devices)]
-    ref_rngs = [device_stream(seed, i) for i in range(devices)]
+    rngs = device_streams(seed, 0, devices)
+    ref_rngs = [oracles.reference_stream(seed, i) for i in range(devices)]
     schedule = generate_schedule(cfg, horizon, rngs)
     expected = [oracles.reference_schedule(cfg, horizon, r) for r in ref_rngs]
     assert schedule.counts.tolist() == [len(times) for times in expected]
@@ -187,7 +187,7 @@ def test_schedule_expected_count():
     # 100 h horizon at mean gap 133.7 s: about 2693 arrivals expected.
     cfg = _config()
     horizon = 360_000_000
-    counts = [len(generate_schedule(cfg, horizon, [device_stream(s, 0)]).start_times)
+    counts = [len(generate_schedule(cfg, horizon, device_streams(s, 0, 1)).start_times)
               for s in range(40)]
     expected = horizon / cfg.mean_interarrival_ms
     assert np.mean(counts) == pytest.approx(expected, rel=0.02)
@@ -195,29 +195,29 @@ def test_schedule_expected_count():
 
 def test_tiny_horizon_gives_empty_schedule():
     cfg = _config()
-    assert generate_schedule(cfg, 1, [device_stream(0, 0)]).start_times.size == 0
+    assert generate_schedule(cfg, 1, device_streams(0, 0, 1)).start_times.size == 0
     with pytest.raises(ValueError):
-        generate_schedule(cfg, 0, [device_stream(0, 0)])
+        generate_schedule(cfg, 0, device_streams(0, 0, 1))
 
 
 def test_adding_devices_leaves_existing_streams_alone():
     cfg0 = _config(device_id=0)
-    alone = generate_schedule(cfg0, 72_000_000, [device_stream(123, 0)])
+    alone = generate_schedule(cfg0, 72_000_000, device_streams(123, 0, 1))
     # Generating other devices' schedules first must not matter: streams
     # are keyed by device index, not drawn from one shared sequence.
     for other in (1, 2, 3):
         generate_schedule(_config(device_id=other), 72_000_000,
-                          [device_stream(123, other)])
-    again = generate_schedule(cfg0, 72_000_000, [device_stream(123, 0)])
+                          device_streams(123, other, other + 1))
+    again = generate_schedule(cfg0, 72_000_000, device_streams(123, 0, 1))
     assert np.array_equal(alone.start_times, again.start_times)
 
 
 def test_streams_differ_between_devices_and_seeds():
     cfg = _config()
     horizon = 72_000_000
-    s00 = generate_schedule(cfg, horizon, [device_stream(1, 0)]).start_times
-    s01 = generate_schedule(cfg, horizon, [device_stream(1, 1)]).start_times
-    s10 = generate_schedule(cfg, horizon, [device_stream(2, 0)]).start_times
+    s00 = generate_schedule(cfg, horizon, device_streams(1, 0, 1)).start_times
+    s01 = generate_schedule(cfg, horizon, device_streams(1, 1, 2)).start_times
+    s10 = generate_schedule(cfg, horizon, device_streams(2, 0, 1)).start_times
     assert not np.array_equal(s00, s01)
     assert not np.array_equal(s00, s10)
 
@@ -227,9 +227,9 @@ def test_memorylessness_split_horizon():
     # half-runs must be draws of the same distribution (KS at 1%).
     cfg = _config()
     horizon = 1_000_000_000
-    whole = np.diff(generate_schedule(cfg, horizon, [device_stream(31, 0)]).start_times)
-    first = generate_schedule(cfg, horizon // 2, [device_stream(32, 0)]).start_times
-    second = generate_schedule(cfg, horizon // 2, [device_stream(33, 0)]).start_times
+    whole = np.diff(generate_schedule(cfg, horizon, device_streams(31, 0, 1)).start_times)
+    first = generate_schedule(cfg, horizon // 2, device_streams(32, 0, 1)).start_times
+    second = generate_schedule(cfg, horizon // 2, device_streams(33, 0, 1)).start_times
     stitched = np.diff(np.concatenate([np.asarray(first),
                                        horizon // 2 + np.asarray(second)]))
     result = stats.ks_2samp(whole, stitched)
@@ -239,7 +239,7 @@ def test_memorylessness_split_horizon():
 def test_interarrivals_look_exponential():
     cfg = _config()
     gaps = np.diff(generate_schedule(cfg, 2_000_000_000,
-                                     [device_stream(17, 0)]).start_times)
+                                     device_streams(17, 0, 1)).start_times)
     result = stats.kstest(gaps, "expon", args=(0, cfg.mean_interarrival_ms))
     assert result.pvalue > 0.01
 
@@ -252,7 +252,7 @@ def test_long_run_duty_cycle_converges():
     total_toa = 0.0
     packets = 0
     for seed in range(25):
-        schedule = generate_schedule(cfg, horizon, [device_stream(seed, 0)])
+        schedule = generate_schedule(cfg, horizon, device_streams(seed, 0, 1))
         packets += len(schedule.start_times)
         total_toa += len(schedule.start_times) * cfg.time_on_air_ms
     assert packets >= 1000
