@@ -7,18 +7,19 @@ are integer-millisecond, half-open time intervals bound to one sub-carrier
 the carrier and their intervals intersect; any intersection destroys both.
 There is no capture effect and no partial-overlap survival.
 
-Decoding: a LoRa-E packet needs at least one uncollided header replica and
-at least ``ceil(coding_rate x fragment_count)`` uncollided fragments; a
-LoRa packet needs its single emission uncollided.
+Every packet of a scenario follows one template (``_packet_template``): a
+LoRa-E packet is its header replicas, then its fragments, and needs one
+uncollided header and ``ceil(coding_rate x fragment_count)`` uncollided
+fragments; a LoRa packet is one emission that must stay uncollided.  The
+layout, the decoding and the memory estimate all read the template.
 
 ``run`` works one grid at a time.  Grids share no sub-carrier, so LoRa-E
 packets on different grids never collide: the packets are split by grid,
 and each grid's emissions are laid out as one hop-major (hops x packets)
-block, collided and decoded on their own, header replicas first, all built
-from one emission template, since a scenario has one data rate and one
-payload size.  Peak memory is then the per-packet draws plus the busiest
-grid's emissions.  Before drawing, ``run`` refuses a scenario whose
-expected packets would not fit in physical memory (``check_memory``).
+block, collided and decoded on their own.  Peak memory is then the
+per-packet draws plus the busiest grid's emissions.  Before drawing, ``run``
+refuses a scenario whose expected packets would not fit in physical memory
+(``check_memory``).
 
 Draws: each device's stream gives its arrival schedule, then its packets'
 hopping seeds, then their grids.  The streams of a block of devices are
@@ -40,13 +41,14 @@ import numpy as np
 
 from .hopping import SEED_COUNT, slot_matrix
 from .params import LORA, LORA_E, DataRateProfile, RegionalPlan, max_packet_rate
-from .params import lorae_fragment_count, lorae_fragment_durations, lora_time_on_air
+from .params import lorae_fragment_durations, lora_time_on_air
 from .traffic import DeviceConfig, device_streams, generate_schedule
 
 DEFAULT_HORIZON_MS = 4 * 3_600_000   # 4 simulated hours
 _DRAW_DEVICES = 1024                 # devices per block of streams, schedules and hop draws
 _EMISSION_BYTES = 83                 # peak RSS per emission of the grid being collided
 _HOP_DRAW_BYTES = 43                 # and per LoRa-E packet: hop seed and grid, grid split
+_Template = tuple[np.ndarray, np.ndarray, int, int]   # offsets, durations, n_head, threshold
 
 
 class ScenarioConfigError(ValueError):
@@ -125,14 +127,23 @@ class ScenarioResult:
             raise ValueError("decoded + losses must equal generated")
 
 
-def lora_grid_duration_ms(profile: DataRateProfile, payload_bytes: int) -> int:
-    """LoRa airtime rounded up to the engine's whole-ms grid."""
-    return math.ceil(lora_time_on_air(profile, payload_bytes))
+def _packet_template(profile: DataRateProfile, payload_bytes: int) -> _Template:
+    """One packet's emissions: (offsets, durations, n_head, threshold).
 
-
-def fragment_threshold(profile: DataRateProfile, fragment_count: int) -> int:
-    """Clean fragments needed to decode: ceil(coding_rate x count)."""
-    return math.ceil(profile.coding_rate * fragment_count)
+    A LoRa packet is one emission of its airtime rounded up to the whole ms,
+    its only header, with no fragments.  A LoRa-E packet sends its header
+    replicas back to back, then its fragments.  Either decodes with a clean
+    header and ``threshold = ceil(coding_rate x fragments)`` clean fragments.
+    """
+    if profile.family == LORA:
+        n_head, durations = 1, (math.ceil(lora_time_on_air(profile, payload_bytes)),)
+    else:
+        n_head = profile.header_replicas
+        durations = ((profile.header_duration_ms,) * n_head
+                     + lorae_fragment_durations(profile, payload_bytes))
+    durs = np.array(durations, dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(durs[:-1])))
+    return offsets, durs, n_head, math.ceil(profile.coding_rate * (len(durs) - n_head))
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +273,6 @@ def _collide_arrays(key: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.n
     return collided
 
 
-def _lorae_template(profile: DataRateProfile, payload_bytes: int
-                    ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-packet emission offsets/durations; returns (offsets, durs, n_head)."""
-    durations = lorae_fragment_durations(profile, payload_bytes)
-    n_head = profile.header_replicas
-    durs = np.array((profile.header_duration_ms,) * n_head + durations, dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(durs[:-1])))
-    return offsets, durs, n_head
-
-
 def decode_lorae(clean: np.ndarray, n_head: int, threshold: int) -> dict[Outcome, int]:
     """Outcome counts of LoRa-E packets from their uncollided-emission flags.
 
@@ -285,51 +286,20 @@ def decode_lorae(clean: np.ndarray, n_head: int, threshold: int) -> dict[Outcome
             Outcome.LOST_PAYLOAD: len(clean) - n_decoded - n_lost_header}
 
 
-def _aggregate(scenario: Scenario, outcomes: dict[Outcome, int]) -> ScenarioResult:
-    per_hour = 3_600_000 / scenario.horizon_ms
-    decoded = outcomes.pop(Outcome.DECODED)
-    losses = {k: v for k, v in outcomes.items() if v}
-    return ScenarioResult(
-        device_count=len(scenario.devices),
-        dr_label=scenario.profile.alias,
-        payload_label=str(scenario.payload_bytes),
-        master_seed=scenario.master_seed,
-        horizon_ms=scenario.horizon_ms,
-        generated_packets=decoded + sum(losses.values()),
-        decoded_packets=decoded,
-        offered_load_packets_per_hour=scenario.offered_load_pkts_per_hour(),
-        throughput_packets_per_hour=decoded * per_hour,
-        goodput_bytes_per_hour=decoded * scenario.payload_bytes * per_hour,
-        loss_breakdown=losses,
-    )
-
-
 def bytes_per_packet(scenario: Scenario) -> int:
     """Peak memory a run of ``scenario`` is expected to need per packet.
 
-    A packet of K emissions on one of G grids adds K / G emissions to the
-    grid being collided.  The line was fitted to the peak RSS of EU868 DR8
-    and DR9 runs (20 000 devices, 1 h: 207 and 135 B a packet) when each
-    device drew its hops with two ``integers`` calls; with raw-word draws
-    they measure 178 and 109 B.  LoRa, one emission on one grid, and US915
-    measure below the line too, and every measured peak is above half of it.
+    A packet of K template emissions on one of G grids adds K / G emissions
+    to the grid being collided, and a LoRa-E packet its hop draws.  The line
+    was fitted to the peak RSS of EU868 DR8 and DR9 runs (20 000 devices,
+    1 h: 207 and 135 B a packet) when each device drew its hops with two
+    ``integers`` calls; with raw-word draws they measure 178 and 109 B.
+    LoRa, one emission on one grid, and US915 measure below the line too,
+    and every measured peak is above half of it.
     """
-    profile = scenario.profile
-    if profile.family == LORA:
-        return _EMISSION_BYTES
-    emissions = profile.header_replicas + lorae_fragment_count(profile, scenario.payload_bytes)
-    return math.ceil(_HOP_DRAW_BYTES + _EMISSION_BYTES * emissions / scenario.plan.num_grids)
-
-
-def expected_bytes(scenario: Scenario) -> float:
-    """Peak memory a run is expected to need: its expected packets x bytes per packet."""
-    packets = scenario.offered_load_pkts_per_hour() * scenario.horizon_ms / 3_600_000
-    return packets * bytes_per_packet(scenario)
-
-
-def physical_memory() -> int:
-    """Bytes of physical memory on this machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    _, durations, _, _ = _packet_template(scenario.profile, scenario.payload_bytes)
+    hop_draws = _HOP_DRAW_BYTES if scenario.profile.family == LORA_E else 0
+    return math.ceil(hop_draws + _EMISSION_BYTES * len(durations) / scenario.plan.num_grids)
 
 
 def check_memory(scenario: Scenario) -> int:
@@ -338,11 +308,13 @@ def check_memory(scenario: Scenario) -> int:
     Raises ``ScenarioConfigError`` when the expected packet count (offered
     load x horizon) would need more than the machine's physical memory.
     """
-    need, limit = expected_bytes(scenario), physical_memory()
+    packets = scenario.offered_load_pkts_per_hour() * scenario.horizon_ms / 3_600_000
+    per_packet = bytes_per_packet(scenario)
+    need = packets * per_packet
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > limit:
-        per_packet = bytes_per_packet(scenario)
         raise ScenarioConfigError(
-            f"about {need / per_packet:.4g} packets would need {need:.4g} B "
+            f"about {packets:.4g} packets would need {need:.4g} B "
             f"at {per_packet} B a packet, over the {limit:.4g} B of physical memory")
     return int(limit // need)
 
@@ -350,25 +322,43 @@ def check_memory(scenario: Scenario) -> int:
 def run(scenario: Scenario) -> ScenarioResult:
     """Simulate one scenario deterministically and return its counters.
 
-    Raises ``check_memory``'s error before drawing anything.
+    Raises ``check_memory``'s error before drawing anything.  Every packet
+    drawn counts as generated, so outcomes that miss one fail the result's check.
     """
     check_memory(scenario)
+    template = _packet_template(scenario.profile, scenario.payload_bytes)
     start, seeds, grids = _draw_packets(scenario)
     if scenario.profile.family == LORA:
-        return _run_lora(scenario, start)
-    return _run_lorae(scenario, start, seeds, grids)
+        outcomes = _run_lora(start, template)
+    else:
+        outcomes = _run_lorae(start, seeds, grids, template, scenario.plan.carriers_per_grid)
+    per_hour = 3_600_000 / scenario.horizon_ms
+    decoded = outcomes.pop(Outcome.DECODED)
+    return ScenarioResult(
+        device_count=len(scenario.devices),
+        dr_label=scenario.profile.alias,
+        payload_label=str(scenario.payload_bytes),
+        master_seed=scenario.master_seed,
+        horizon_ms=scenario.horizon_ms,
+        generated_packets=start.size,
+        decoded_packets=decoded,
+        offered_load_packets_per_hour=scenario.offered_load_pkts_per_hour(),
+        throughput_packets_per_hour=decoded * per_hour,
+        goodput_bytes_per_hour=decoded * scenario.payload_bytes * per_hour,
+        loss_breakdown={k: v for k, v in outcomes.items() if v},
+    )
 
 
-def _run_lora(scenario: Scenario, start: np.ndarray) -> ScenarioResult:
-    end = start + lora_grid_duration_ms(scenario.profile, scenario.payload_bytes)
+def _run_lora(start: np.ndarray, template: _Template) -> dict[Outcome, int]:
+    """Outcome counts of LoRa packets: one whole-channel emission each."""
+    _, (duration,), _, _ = template
     key = np.zeros(start.shape, dtype=np.int64)   # one shared channel
-    lost = int(_collide_arrays(key, start, end).sum())
-    return _aggregate(scenario, {Outcome.DECODED: start.size - lost,
-                                 Outcome.LOST_COLLISION: lost})
+    lost = int(_collide_arrays(key, start, start + duration).sum())
+    return {Outcome.DECODED: start.size - lost, Outcome.LOST_COLLISION: lost}
 
 
-def _run_lorae(scenario: Scenario, start: np.ndarray, seeds: np.ndarray,
-               grids: np.ndarray) -> ScenarioResult:
+def _run_lorae(start: np.ndarray, seeds: np.ndarray, grids: np.ndarray, template: _Template,
+               carriers_per_grid: int) -> dict[Outcome, int]:
     """Collide and decode the packets of one grid at a time.
 
     Grids share no carrier, so a packet can only collide with packets of
@@ -377,19 +367,17 @@ def _run_lorae(scenario: Scenario, start: np.ndarray, seeds: np.ndarray,
     slot alone, makes one collision call and is decoded on its own.  The
     outcome counts add up to those of the whole scenario.
     """
-    offsets, durs, n_head = _lorae_template(scenario.profile, scenario.payload_bytes)
-    cpg = scenario.plan.carriers_per_grid
-    threshold = fragment_threshold(scenario.profile, len(durs) - n_head)
+    offsets, durs, n_head, threshold = template
     order = np.argsort(grids.astype(np.uint16), kind="stable")   # 16-bit keys: radix sort
     outcomes = dict.fromkeys((Outcome.DECODED, Outcome.LOST_HEADER, Outcome.LOST_PAYLOAD), 0)
     for members in np.split(order, np.cumsum(np.bincount(grids))[:-1]):
         if members.size == 0:
             continue
-        key = slot_matrix(seeds[members], len(durs), cpg).T   # C order: ravel is free
+        key = slot_matrix(seeds[members], len(durs), carriers_per_grid).T   # C order: free ravel
         em_start = offsets[:, None] + start[members]
         collided = _collide_arrays(key.ravel(), em_start.ravel(),
                                    (em_start + durs[:, None]).ravel())
         for outcome, count in decode_lorae(~collided.reshape(key.shape).T, n_head,
                                            threshold).items():
             outcomes[outcome] += count
-    return _aggregate(scenario, outcomes)
+    return outcomes

@@ -13,7 +13,7 @@ from math import ceil
 
 import numpy as np
 
-from lorae_sim.engine import Outcome, Scenario, ScenarioResult
+from lorae_sim.engine import Outcome, Scenario, ScenarioResult, bytes_per_packet
 from lorae_sim.hopping import SEED_COUNT
 from lorae_sim.params import (LORA, RegionalPlan, dr_profile, lora_time_on_air,
                               lorae_fragment_durations, max_packet_rate, regional_plan,
@@ -244,10 +244,17 @@ def reference_run(scenario: Scenario,
         payload_label=str(payload),
         master_seed=scenario.master_seed,
         horizon_ms=scenario.horizon_ms,
-        generated_packets=decoded + sum(counts.values()),
+        generated_packets=len(hit) // len(durations),
         decoded_packets=decoded,
         offered_load_packets_per_hour=scenario.offered_load_pkts_per_hour(),
         throughput_packets_per_hour=decoded * per_hour,
         goodput_bytes_per_hour=decoded * payload * per_hour,
         loss_breakdown={k: v for k, v in counts.items() if v},
     )
+
+
+def expected_bytes(scenario: Scenario) -> float:
+    """The bytes ``engine.check_memory`` weighs against physical memory:
+    offered load x horizon x ``bytes_per_packet``."""
+    packets = scenario.offered_load_pkts_per_hour() * scenario.horizon_ms / 3_600_000
+    return packets * bytes_per_packet(scenario)

@@ -10,8 +10,7 @@ import pytest
 
 from lorae_sim import engine
 from lorae_sim.engine import (Outcome, Scenario, ScenarioConfigError, _collide_arrays,
-                              _lorae_template, decode_lorae, fragment_threshold,
-                              lora_grid_duration_ms, run)
+                              _packet_template, decode_lorae, run)
 from lorae_sim.experiments import RESULT_COLUMNS, csv_row
 from lorae_sim.params import EU868, US915, dr_profile, max_packet_rate, regional_plan
 from lorae_sim.traffic import DeviceConfig, device_streams
@@ -129,7 +128,7 @@ def test_draws_need_less_memory_than_bytes_per_packet():
 # --- emission layout ---------------------------------------------------------
 
 def test_dr8_emission_layout():
-    offsets, durs, n_head = _lorae_template(dr_profile(EU868, "DR8"), 10)
+    offsets, durs, n_head, _ = _packet_template(dr_profile(EU868, "DR8"), 10)
     assert (n_head, len(durs)) == (3, 16)          # 3 header replicas, 13 fragments
     assert offsets[:4].tolist() == [0, 233, 466, 699]
     # Contiguous in sequence order; total span is the packet airtime.
@@ -138,7 +137,7 @@ def test_dr8_emission_layout():
 
 
 def test_dr9_emission_layout():
-    offsets, durs, n_head = _lorae_template(dr_profile(EU868, "DR9"), 10)
+    offsets, durs, n_head, _ = _packet_template(dr_profile(EU868, "DR9"), 10)
     assert (n_head, len(durs)) == (2, 9)           # 2 header replicas, 7 fragments
     assert offsets[-1] + durs[-1] == 785
 
@@ -149,7 +148,7 @@ def test_emission_slots_follow_hopping_sequence(monkeypatch):
     scenario = _scenario("DR8", 10, 1, 3_600_000, seed=0)
     _, calls = _run_drawn(monkeypatch, scenario, [1000, 5000],
                           seeds=[211, 17], grids=[4, 0])
-    offsets, durs, _ = _lorae_template(dr_profile(EU868, "DR8"), 10)
+    offsets, durs, _, _ = _packet_template(dr_profile(EU868, "DR8"), 10)
     (key0, start0, end0), (key4, start4, end4) = calls
     assert key0.tolist() == oracles.hop_slots(17, 16, 35)
     assert key4.tolist() == oracles.hop_slots(211, 16, 35)
@@ -164,7 +163,7 @@ def test_lora_emission_is_whole_channel(monkeypatch):
     assert key.tolist() == [0, 0]
     assert start.tolist() == [50, 3000]
     assert end.tolist() == [50 + 992, 3000 + 992]
-    assert lora_grid_duration_ms(dr_profile(EU868, "DR0"), 10) == 992
+    assert _packet_template(dr_profile(EU868, "DR0"), 10)[1].tolist() == [992]
 
 
 # --- collision flags ---------------------------------------------------------
@@ -286,20 +285,22 @@ def test_packing_overflow_raises():
 def _outcome(dr: str, clean_headers: int, clean_fragments: int) -> Outcome:
     """Fate of one 10 B packet whose first headers and fragments are clean."""
     profile = dr_profile(EU868, dr)
-    _, durs, n_head = _lorae_template(profile, 10)
+    _, durs, n_head, threshold = _packet_template(profile, 10)
     n_frag = len(durs) - n_head
     row = np.concatenate([np.arange(n_head) < clean_headers,
                           np.arange(n_frag) < clean_fragments])
-    counts = decode_lorae(row[None, :], n_head, fragment_threshold(profile, n_frag))
+    counts = decode_lorae(row[None, :], n_head, threshold)
     (outcome,) = [k for k, v in counts.items() if v]
     assert counts[outcome] == 1
     return outcome
 
 
 def test_threshold_is_coding_rate_share_of_fragments():
-    assert fragment_threshold(dr_profile(EU868, "DR8"), 13) == 5
-    assert fragment_threshold(dr_profile(EU868, "DR9"), 7) == 5
-    assert fragment_threshold(dr_profile(EU868, "DR9"), 6) == 4
+    # (fragments, threshold) of DR8 and DR9 at 10 B, and of DR9 at 8 B.
+    for dr, payload, expected in (("DR8", 10, (13, 5)), ("DR9", 10, (7, 5)),
+                                  ("DR9", 8, (6, 4))):
+        _, durs, n_head, threshold = _packet_template(dr_profile(EU868, dr), payload)
+        assert (len(durs) - n_head, threshold) == expected
 
 
 def test_all_headers_lost_kills_packet():
@@ -406,7 +407,7 @@ def test_each_collision_call_holds_one_grid(monkeypatch):
     # than the busiest grid, and the calls cover every emission once.
     scenario = _scenario("DR5", 10, 3, 30_000, seed=4, region=US915)
     start, _, grids = engine._draw_packets(scenario)
-    hops = len(_lorae_template(scenario.profile, 10)[1])
+    hops = len(_packet_template(scenario.profile, 10)[1])
     per_grid = np.bincount(grids, minlength=scenario.plan.num_grids)
     calls = []
 
@@ -447,6 +448,15 @@ def test_conservation_and_determinism():
     assert first == second
     losses = sum(first.loss_breakdown.values())
     assert first.decoded_packets + losses == first.generated_packets
+
+
+def test_a_packet_without_an_outcome_breaks_conservation(monkeypatch):
+    # Generated counts the packets drawn, not the outcomes, so a decoder that
+    # drops a packet (here each grid's first) cannot pass unnoticed.
+    decode = engine.decode_lorae
+    monkeypatch.setattr(engine, "decode_lorae", lambda clean, *rule: decode(clean[1:], *rule))
+    with pytest.raises(ValueError, match=r"decoded \+ losses must equal generated"):
+        run(_scenario("DR8", 10, 50, 3_600_000, seed=1))
 
 
 def test_monotone_degradation_with_device_count():
@@ -497,7 +507,7 @@ def test_csv_row_order():
 
 def test_memory_guard_compares_bytes_with_physical_memory(monkeypatch):
     scenario = _scenario("DR5", 10, 3, 30_000, seed=4, region=US915)
-    need = engine.expected_bytes(scenario)
+    need = oracles.expected_bytes(scenario)
     for pages, fits in ((int(need) + 1, True), (int(need) - 1, False)):
         monkeypatch.setattr(engine.os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": pages}.get)
         if fits:

@@ -12,15 +12,14 @@ import pytest
 
 from lorae_sim import engine, experiments
 from lorae_sim.engine import ScenarioConfigError, run
-from lorae_sim.experiments import (AGGREGATE_COLUMNS, AggregatePoint,
-                                   CrossoverNotFound, SweepSpec,
+from lorae_sim.experiments import (AGGREGATE_COLUMNS, CrossoverNotFound, SweepSpec,
                                    aggregate, aggregate_capacity, build_scenario,
                                    crossover_load, default_capacity_counts, emit,
                                    emit_aggregate, emit_results, find_crossover,
                                    log_spaced_counts, peak_point, point_seed, sweep)
 from lorae_sim.params import dr_profile, time_on_air
 
-from oracles import per_device_rate
+from oracles import expected_bytes, per_device_rate
 
 
 def _spec(**overrides) -> SweepSpec:
@@ -189,7 +188,7 @@ def test_pool_size_fits_physical_memory(monkeypatch):
     _set_cpus(monkeypatch, 2)
     pools = _pool_sizes(monkeypatch)
     spec = _spec(dr_aliases=("DR0", "DR8"), device_counts=(3, 12), replications=2)
-    largest = max(engine.expected_bytes(build_scenario("EU868", dr, 10, 12, spec.horizon_ms, 0))
+    largest = max(expected_bytes(build_scenario("EU868", dr, 10, 12, spec.horizon_ms, 0))
                   for dr in ("DR0", "DR8"))
     for pages, size in ((int(2 * largest) - 1, 1), (int(2 * largest) + 1, 2)):
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": pages}.get)
@@ -210,8 +209,7 @@ def test_sweep_refuses_a_point_too_large_for_memory_before_any_point_runs(monkey
     _set_cpus(monkeypatch, cpus)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_pool)
     spec = _spec(dr_aliases=("DR8",), device_counts=(3, 12), replications=2)
-    small, large = (engine.expected_bytes(build_scenario("EU868", "DR8", 10, n,
-                                                         spec.horizon_ms, 0))
+    small, large = (expected_bytes(build_scenario("EU868", "DR8", 10, n, spec.horizon_ms, 0))
                     for n in spec.device_counts)
     monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1,
                                         "SC_PHYS_PAGES": int((small + large) / 2)}.get)

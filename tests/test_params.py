@@ -9,7 +9,7 @@ import pytest
 
 from lorae_sim import params
 from lorae_sim.experiments import csv_text
-from lorae_sim.params import (EU868, LORA, LORA_E, US915, PayloadSizeError,
+from lorae_sim.params import (EU868, US915, PayloadSizeError,
                               UnknownProfileError, dr_profile,
                               lora_time_on_air, lorae_coded_bits,
                               lorae_fragment_count, lorae_fragment_durations,

@@ -8,7 +8,7 @@ from scipy import stats
 
 from lorae_sim import traffic
 from lorae_sim.engine import _DRAW_DEVICES
-from lorae_sim.params import EU868, dr_profile, regional_plan, time_on_air
+from lorae_sim.params import EU868, dr_profile, regional_plan
 from lorae_sim.traffic import DeviceConfig, device_streams, generate_schedule
 
 import oracles
