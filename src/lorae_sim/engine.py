@@ -41,10 +41,9 @@ import numpy as np
 
 from .hopping import SEED_COUNT, slot_matrix
 from .params import LORA, LORA_E, DataRateProfile, RegionalPlan, max_packet_rate
-from .params import lorae_fragment_durations, lora_time_on_air
+from .params import HEADER_MS, lorae_fragment_durations, lora_time_on_air
 from .traffic import DeviceConfig, device_streams, generate_schedule
 
-DEFAULT_HORIZON_MS = 4 * 3_600_000   # 4 simulated hours
 _DRAW_DEVICES = 1024                 # devices per block of streams, schedules and hop draws
 _EMISSION_BYTES = 83                 # peak RSS per emission of the grid being collided
 _HOP_DRAW_BYTES = 43                 # and per LoRa-E packet: hop seed and grid, grid split
@@ -67,8 +66,8 @@ class Scenario:
     """Device population sharing one channel over one simulated horizon."""
 
     devices: tuple[DeviceConfig, ...]
-    horizon_ms: int = DEFAULT_HORIZON_MS
-    master_seed: int = 0
+    horizon_ms: int
+    master_seed: int
 
     def __post_init__(self) -> None:
         if not self.devices:
@@ -139,8 +138,7 @@ def _packet_template(profile: DataRateProfile, payload_bytes: int) -> _Template:
         n_head, durations = 1, (math.ceil(lora_time_on_air(profile, payload_bytes)),)
     else:
         n_head = profile.header_replicas
-        durations = ((profile.header_duration_ms,) * n_head
-                     + lorae_fragment_durations(profile, payload_bytes))
+        durations = (HEADER_MS,) * n_head + lorae_fragment_durations(profile, payload_bytes)
     durs = np.array(durations, dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(durs[:-1])))
     return offsets, durs, n_head, math.ceil(profile.coding_rate * (len(durs) - n_head))

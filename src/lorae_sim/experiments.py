@@ -31,9 +31,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import engine, hopping, params, traffic
-from .engine import DEFAULT_HORIZON_MS, Outcome, Scenario, ScenarioResult, run
+from .engine import Outcome, Scenario, ScenarioResult, run
 from .params import LORA, LORA_DR_COUNT_EU, LORA_E, dr_profile, regional_plan
 from .traffic import DeviceConfig
+
+DEFAULT_HORIZON_MS = 4 * 3_600_000   # 4 simulated hours
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,18 +86,6 @@ class AggregatePoint:
 
 class CrossoverNotFound(RuntimeError):
     """No sign change brackets a crossover on the swept load range."""
-
-    def __init__(self, label: str, loads: Sequence[float],
-                 lora_goodput: Sequence[float], lorae_goodput: Sequence[float]):
-        self.loads = tuple(loads)
-        self.lora_goodput = tuple(lora_goodput)
-        self.lorae_goodput = tuple(lorae_goodput)
-        ends = (f"load [{loads[0]:.0f}, {loads[-1]:.0f}] pkt/h: "
-                f"LoRa goodput [{lora_goodput[0]:.0f}, {lora_goodput[-1]:.0f}], "
-                f"LoRa-E goodput [{lorae_goodput[0]:.0f}, {lorae_goodput[-1]:.0f}] B/h"
-                if loads else "empty load range")
-        super().__init__(
-            f"no LoRa/LoRa-E goodput crossover bracketed for {label}; {ends}")
 
 
 def point_seed(master_seed: int, region: str, dr: str, payload_bytes: int,
@@ -232,7 +222,12 @@ def crossover_load(label: str,
     g_lorae = np.interp(grid, lorae_loads, lorae_g)
     diff = g_lorae - g_lora
     if grid.size == 0 or diff[0] > 0 or not (diff > 0).any():
-        raise CrossoverNotFound(label, grid.tolist(), g_lora.tolist(), g_lorae.tolist())
+        ends = (f"load [{grid[0]:.0f}, {grid[-1]:.0f}] pkt/h: "
+                f"LoRa goodput [{g_lora[0]:.0f}, {g_lora[-1]:.0f}], "
+                f"LoRa-E goodput [{g_lorae[0]:.0f}, {g_lorae[-1]:.0f}] B/h"
+                if grid.size else "empty load range")
+        raise CrossoverNotFound(
+            f"no LoRa/LoRa-E goodput crossover bracketed for {label}; {ends}")
     i = int(np.argmax(diff > 0))          # first point strictly ahead
     x0, x1 = grid[i - 1], grid[i]
     d0, d1 = diff[i - 1], diff[i]

@@ -104,10 +104,6 @@ class DataRateProfile:
         return 3 if self.coding_rate == Fraction(1, 3) else 2   # CR 1/3 sends one extra copy
 
     @property
-    def header_duration_ms(self) -> int:
-        return HEADER_MS if self.family == LORA_E else 0
-
-    @property
     def phy_bit_rate_bps(self) -> int:
         if self.family == LORA_E:
             return int(OBW_HZ * self.coding_rate)
@@ -232,7 +228,7 @@ def lorae_fragment_durations(profile: DataRateProfile, payload_bytes: int) -> tu
 def lorae_time_on_air(profile: DataRateProfile, payload_bytes: int) -> int:
     """Airtime of one LoRa-E packet in ms: header replicas plus payload hops."""
     durations = lorae_fragment_durations(profile, payload_bytes)
-    return profile.header_replicas * profile.header_duration_ms + sum(durations)
+    return profile.header_replicas * HEADER_MS + sum(durations)
 
 
 def time_on_air(profile: DataRateProfile, payload_bytes: int) -> float:

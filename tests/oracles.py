@@ -9,7 +9,7 @@ agreement is meaningful.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
+from math import ceil, exp, prod
 
 import numpy as np
 
@@ -97,9 +97,49 @@ def lorae_fragments(payload_bytes: int, cr: Fraction) -> list[int]:
     return groups
 
 
+def lorae_header_replicas(cr: Fraction) -> int:
+    """Header copies a LoRa-E packet sends: one extra at code rate 1/3."""
+    return 3 if cr == Fraction(1, 3) else 2
+
+
 def lorae_airtime_ms(payload_bytes: int, cr: Fraction) -> int:
-    replicas = 3 if cr == Fraction(1, 3) else 2
-    return replicas * 233 + sum(lorae_fragments(payload_bytes, cr))
+    return lorae_header_replicas(cr) * 233 + sum(lorae_fragments(payload_bytes, cr))
+
+
+def expected_decoded_pkts_per_hour(region: str, dr: str, payload_bytes: int,
+                                   devices: int) -> float:
+    """Decoded pkt/h of a LoRa-E scenario by a closed-form Poisson model.
+
+    Each device offers duty x 1 h / T packets an hour, T the packet's
+    airtime.  The other packets hit each carrier as Poisson traffic of rate
+    rho = offered pkt/ms / (grids x carriers per grid), and a packet of K
+    emissions puts each on a carrier of its grid.  So an emission of
+    duration d meets none of theirs with probability exp(-rho (K d + T)),
+    taken independent of the packet's other emissions.  A packet decodes
+    with a clean header and at least ceil(cr x fragments) clean fragments,
+    a Poisson-binomial count.  Under deep overload the model is too
+    pessimistic, because it takes a packet's emissions as independent.
+    """
+    cr = dr_profile(region, dr).coding_rate
+    plan = regional_plan(region, dr)
+    fragments = lorae_fragments(payload_bytes, cr)
+    headers = [233] * lorae_header_replicas(cr)
+    airtime = lorae_airtime_ms(payload_bytes, cr)
+    offered = devices * plan.duty_cycle * 3_600_000 / airtime
+    rho = offered / 3_600_000 / (plan.num_grids * plan.carriers_per_grid)
+    emissions = len(headers) + len(fragments)
+
+    def clean(duration: int) -> float:
+        return exp(-rho * (emissions * duration + airtime))
+
+    header_lost = prod(1 - clean(d) for d in headers)
+    clean_count = [1.0]   # probability of each count of clean fragments so far
+    for d in fragments:
+        q = clean(d)
+        clean_count = [lost * (1 - q) + kept * q
+                       for lost, kept in zip(clean_count + [0.0], [0.0] + clean_count)]
+    payload_kept = sum(clean_count[ceil(cr * len(fragments)):])
+    return offered * (1 - header_lost) * payload_kept
 
 
 def per_device_rate(region: str, dr: str, payload_bytes: int) -> float:
@@ -208,8 +248,7 @@ def reference_run(scenario: Scenario,
         n_head = 0
     else:
         n_head = profile.header_replicas
-        durations = ([profile.header_duration_ms] * n_head
-                     + list(lorae_fragment_durations(profile, payload)))
+        durations = [233] * n_head + list(lorae_fragment_durations(profile, payload))
     intervals: list[tuple[object, int, int]] = []
     for starts, seeds, grids in reference_draws(scenario) if draws is None else draws:
         if profile.family == LORA:

@@ -11,7 +11,7 @@ import pytest
 from lorae_sim import engine
 from lorae_sim.engine import (Outcome, Scenario, ScenarioConfigError, _collide_arrays,
                               _packet_template, decode_lorae, run)
-from lorae_sim.experiments import RESULT_COLUMNS, csv_row
+from lorae_sim.experiments import RESULT_COLUMNS, build_scenario, csv_row
 from lorae_sim.params import EU868, US915, dr_profile, max_packet_rate, regional_plan
 from lorae_sim.traffic import DeviceConfig, device_streams
 
@@ -330,7 +330,7 @@ def test_lora_adjudication_is_all_or_nothing(monkeypatch):
 
 def test_mixed_family_scenario_rejected():
     with pytest.raises(ScenarioConfigError):
-        Scenario((_device("DR0", 10, 0), _device("DR8", 10, 1)))
+        Scenario((_device("DR0", 10, 0), _device("DR8", 10, 1)), 3_600_000, 0)
 
 
 def test_mixed_data_rate_or_payload_scenario_rejected():
@@ -338,16 +338,16 @@ def test_mixed_data_rate_or_payload_scenario_rejected():
     assert regional_plan(US915, "DR6") == plan
     with pytest.raises(ScenarioConfigError):
         Scenario((DeviceConfig(0, dr_profile(US915, "DR5"), 10, plan),
-                  DeviceConfig(1, dr_profile(US915, "DR6"), 10, plan)))
+                  DeviceConfig(1, dr_profile(US915, "DR6"), 10, plan)), 3_600_000, 0)
     with pytest.raises(ScenarioConfigError):
-        Scenario((_device("DR8", 10, 0), _device("DR8", 50, 1)))
+        Scenario((_device("DR8", 10, 0), _device("DR8", 50, 1)), 3_600_000, 0)
 
 
 def test_empty_and_duplicate_devices_rejected():
     with pytest.raises(ScenarioConfigError):
-        Scenario(())
+        Scenario((), 3_600_000, 0)
     with pytest.raises(ScenarioConfigError):
-        Scenario((_device("DR0", 10, 0), _device("DR0", 10, 0)))
+        Scenario((_device("DR0", 10, 0), _device("DR0", 10, 0)), 3_600_000, 0)
 
 
 def test_negative_master_seed_rejected(monkeypatch):
@@ -356,7 +356,7 @@ def test_negative_master_seed_rejected(monkeypatch):
 
     monkeypatch.setattr(engine, "_draw_packets", draw)
     with pytest.raises(ValueError, match="master_seed must be non-negative, got -1"):
-        run(Scenario((_device("DR8", 10),), master_seed=-1))
+        run(Scenario((_device("DR8", 10),), 3_600_000, -1))
 
 
 def test_single_device_all_decoded():
@@ -494,6 +494,16 @@ def test_lora_scenario_loses_only_to_collisions():
     result = run(_scenario("DR0", 10, 80, 14_400_000, seed=2))
     assert set(result.loss_breakdown) <= {Outcome.LOST_COLLISION}
     assert result.decoded_packets < result.generated_packets   # busy channel
+
+
+@pytest.mark.parametrize("dr, devices", [("DR8", 500), ("DR8", 5_000), ("DR8", 9_000),
+                                         ("DR9", 500), ("DR9", 5_000)])
+def test_decoded_rate_matches_closed_form_model(dr, devices):
+    # Low load up to each rate's peak; past it the model is too pessimistic
+    # (DR8 at 24 000 devices decodes 1.4 x the model), so that tail is not bounded.
+    result = run(build_scenario(EU868, dr, 10, devices, 3_600_000, 1))
+    model = oracles.expected_decoded_pkts_per_hour(EU868, dr, 10, devices)
+    assert result.throughput_packets_per_hour == pytest.approx(model, rel=0.04)
 
 
 def test_csv_row_order():

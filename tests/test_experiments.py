@@ -322,13 +322,21 @@ def test_crossover_not_found_reports_endpoints():
     lorae_above = (np.array([100.0, 300.0]), np.array([1100.0, 1200.0]))
     with pytest.raises(CrossoverNotFound) as info:
         crossover_load(_LABEL, lora, lorae_above)
-    assert info.value.loads[0] == 100.0
     assert str(info.value) == ("no LoRa/LoRa-E goodput crossover bracketed for DR0 vs DR8 "
                                "at 10 B; load [100, 300] pkt/h: LoRa goodput [1000, 900], "
                                "LoRa-E goodput [1100, 1200] B/h")
     lorae_below = (np.array([100.0, 300.0]), np.array([500.0, 600.0]))
     with pytest.raises(CrossoverNotFound):
         crossover_load(_LABEL, lora, lorae_below)
+
+
+def test_crossover_not_found_on_disjoint_load_ranges():
+    lora = (np.array([100.0, 200.0]), np.array([1000.0, 900.0]))
+    lorae = (np.array([300.0, 400.0]), np.array([500.0, 1200.0]))
+    with pytest.raises(CrossoverNotFound) as info:
+        crossover_load(_LABEL, lora, lorae)
+    assert str(info.value) == ("no LoRa/LoRa-E goodput crossover bracketed for DR0 vs DR8 "
+                               "at 10 B; empty load range")
 
 
 # --- capacity scaling -----------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Every module of the package and of its tests uses what it imports."""
+"""Every module of the package and of its tests uses what it imports, and
+every name the package defines is read by the package, its tests or its
+benchmark."""
 
 from __future__ import annotations
 
@@ -9,6 +11,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+PACKAGE = ROOT / "src" / "lorae_sim"
+PACKAGE_MODULES = frozenset(path.stem for path in PACKAGE.glob("*.py"))
+READERS = sorted([*MODULES, *(ROOT / "perfbench").rglob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,3 +50,82 @@ def test_scan_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def defined_names(source: str) -> dict[str, int]:
+    """A module's top-level functions, classes and constants by line, dunders aside."""
+    defined: dict[str, int] = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update((name.id, node.lineno) for target in targets
+                           for name in ast.walk(target) if isinstance(name, ast.Name))
+    return {name: line for name, line in defined.items()
+            if not (name.startswith("__") and name.endswith("__"))}
+
+
+def _imported_module(node: ast.ImportFrom) -> str | None:
+    """The package module a ``from`` import reads from, None outside the package."""
+    if node.level:
+        return node.module or "__init__"
+    package, _, module = (node.module or "").partition(".")
+    return (module or "__init__") if package == PACKAGE.name else None
+
+
+def names_read(source: str, module: str | None) -> set[tuple[str, str]]:
+    """The (package module, name) pairs a module reads.
+
+    ``module`` is the reader's own name in the package, or None outside it.
+    A bare name counts for the reader itself, a name imported from a package
+    module for that module, and so does an attribute of a name bound to a
+    package module (``engine.run``).  The package itself is ``__init__``.
+    """
+    bound: dict[str, str] = {}   # local name -> the package module it names
+    attributes: list[tuple[str, str]] = []
+    read: set[tuple[str, str]] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (target := _imported_module(node)):
+            for alias in node.names:
+                if target == "__init__" and alias.name in PACKAGE_MODULES:
+                    bound[alias.asname or alias.name] = alias.name
+                else:
+                    read.add((target, alias.name))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and module:
+            read.add((module, node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            attributes.append((node.value.id, node.attr))
+    read.update((bound[owner], attr) for owner, attr in attributes if owner in bound)
+    return read
+
+
+def unread_names(defining: dict[str, str], reading: dict[str | None, list[str]]) -> list[str]:
+    """``module.name`` of each name the ``defining`` sources define and no source reads."""
+    read = set().union(*(names_read(source, module)
+                         for module, sources in reading.items() for source in sources))
+    return [f"{module}.{name} (line {line})" for module, source in sorted(defining.items())
+            for name, line in defined_names(source).items() if (module, name) not in read]
+
+
+def test_scan_finds_unread_names():
+    engine = "from __future__ import annotations\nDEFAULT_HORIZON_MS = 4\ndef run(): pass\n"
+    experiments = ("from .engine import run\n"
+                   "DEFAULT_HORIZON_MS: int = 4\n"
+                   "class Spec:\n"
+                   "    horizon_ms = DEFAULT_HORIZON_MS\n"
+                   "__all__ = ['Spec']\n"
+                   "run()\n")
+    reader = "from lorae_sim import experiments as ex\nprint(ex.Spec)\n"
+    defining = {"engine": engine, "experiments": experiments}
+    reading = {"engine": [engine], "experiments": [experiments], None: [reader]}
+    assert unread_names(defining, reading) == ["engine.DEFAULT_HORIZON_MS (line 2)"]
+
+
+def test_package_names_are_read():
+    defining = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    reading: dict[str | None, list[str]] = {}
+    for path in READERS:
+        module = path.stem if path.parent == PACKAGE else None
+        reading.setdefault(module, []).append(path.read_text())
+    assert unread_names(defining, reading) == []

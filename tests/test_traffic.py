@@ -184,13 +184,16 @@ def test_batched_schedule_of_one_device():
 
 
 def test_schedule_expected_count():
-    # 100 h horizon at mean gap 133.7 s: about 2693 arrivals expected.
+    # Gaps are exponentials rounded up to whole ms, so geometric: each ms
+    # after 0 holds an arrival with p = 1 - exp(-1/m), independently, and the
+    # count on [1, H) is Binomial(H - 1, p).  100 h at m = 133.7 s: about 2693.
     cfg = _config()
-    horizon = 360_000_000
+    horizon, seeds = 360_000_000, 40
     counts = [len(generate_schedule(cfg, horizon, device_streams(s, 0, 1)).start_times)
-              for s in range(40)]
-    expected = horizon / cfg.mean_interarrival_ms
-    assert np.mean(counts) == pytest.approx(expected, rel=0.02)
+              for s in range(seeds)]
+    p = -np.expm1(-1 / cfg.mean_interarrival_ms)
+    se = np.sqrt((horizon - 1) * p * (1 - p) / seeds)
+    assert abs(np.mean(counts) - (horizon - 1) * p) < 4 * se
 
 
 def test_tiny_horizon_gives_empty_schedule():
