@@ -76,13 +76,11 @@ class Scenario:
             raise ValueError(f"horizon must be positive, got {self.horizon_ms}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
-        if len({d.profile for d in self.devices}) > 1:
-            aliases = sorted({d.profile.alias for d in self.devices})
-            raise ScenarioConfigError(f"all devices must share one data rate, got {aliases}")
-        if len({d.payload_bytes for d in self.devices}) > 1:
-            raise ScenarioConfigError("all devices must share one payload size")
-        if len({d.plan for d in self.devices}) > 1:
-            raise ScenarioConfigError("all devices must share one channel plan")
+        shared = (self.profile, self.payload_bytes, self.plan)
+        for d in self.devices:
+            if (d.profile, d.payload_bytes, d.plan) != shared:
+                raise ScenarioConfigError("all devices must share one data rate, payload and "
+                                          f"plan; device {d.device_id} differs")
         if len({d.device_id for d in self.devices}) != len(self.devices):
             raise ScenarioConfigError("device ids must be unique")
 
@@ -290,10 +288,9 @@ def bytes_per_packet(scenario: Scenario) -> int:
     A packet of K template emissions on one of G grids adds K / G emissions
     to the grid being collided, and a LoRa-E packet its hop draws.  The line
     was fitted to the peak RSS of EU868 DR8 and DR9 runs (20 000 devices,
-    1 h: 207 and 135 B a packet) when each device drew its hops with two
-    ``integers`` calls; with raw-word draws they measure 178 and 109 B.
-    LoRa, one emission on one grid, and US915 measure below the line too,
-    and every measured peak is above half of it.
+    1 h); they measure 178 and 109 B a packet.  LoRa, one emission on one
+    grid, and US915 measure below the line too, and every measured peak is
+    above half of it.
     """
     _, durations, _, _ = _packet_template(scenario.profile, scenario.payload_bytes)
     hop_draws = _HOP_DRAW_BYTES if scenario.profile.family == LORA_E else 0

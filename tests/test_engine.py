@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import tracemalloc
 
@@ -25,8 +26,7 @@ def _device(dr: str, payload: int, device_id: int = 0, region: str = EU868) -> D
 
 def _scenario(dr: str, payload: int, devices: int, horizon_ms: int,
               seed: int, region: str = EU868) -> Scenario:
-    return Scenario(tuple(_device(dr, payload, i, region) for i in range(devices)),
-                    horizon_ms=horizon_ms, master_seed=seed)
+    return build_scenario(region, dr, payload, devices, horizon_ms, seed)
 
 
 def _run_drawn(monkeypatch, scenario: Scenario, starts: list[int],
@@ -341,6 +341,30 @@ def test_mixed_data_rate_or_payload_scenario_rejected():
                   DeviceConfig(1, dr_profile(US915, "DR6"), 10, plan)), 3_600_000, 0)
     with pytest.raises(ScenarioConfigError):
         Scenario((_device("DR8", 10, 0), _device("DR8", 50, 1)), 3_600_000, 0)
+
+
+_US915_PLAN = regional_plan(US915, "DR5")
+
+
+@pytest.mark.parametrize("profile, payload, plan", [
+    (dr_profile(US915, "DR6"), 10, _US915_PLAN),
+    (dr_profile(US915, "DR5"), 50, _US915_PLAN),
+    (dr_profile(US915, "DR5"), 10, dataclasses.replace(_US915_PLAN, num_ocw_channels=1)),
+], ids=["data_rate", "payload", "plan"])
+def test_scenario_rejects_a_last_device_that_differs(profile, payload, plan):
+    # Every device is checked, not only the second; the plan on its own counts.
+    shared = build_scenario(US915, "DR5", 10, 4, 3_600_000, 0).devices
+    with pytest.raises(ScenarioConfigError, match="device 4 differs"):
+        Scenario((*shared, DeviceConfig(4, profile, payload, plan)), 3_600_000, 0)
+
+
+def test_scenario_accepts_equal_copies_of_profile_and_plan():
+    # Devices share a data rate and plan by equality, not by object identity.
+    shared = build_scenario(US915, "DR5", 10, 5, 30_000, 4)
+    copies = tuple(DeviceConfig(d.device_id, dataclasses.replace(d.profile), 10,
+                                dataclasses.replace(d.plan)) for d in shared.devices)
+    assert copies[1].profile is not copies[0].profile and copies[1].plan is not copies[0].plan
+    assert run(Scenario(copies, 30_000, 4)) == run(shared)
 
 
 def test_empty_and_duplicate_devices_rejected():
