@@ -7,8 +7,9 @@ LoRa-E goodput crossing load) and ``capacity`` (network-wide peak).
 Each option is declared once, with its type.  A flat ``key = value`` config
 file (``--config``) names long options by key: each line becomes
 ``--key=value`` ahead of the command-line flags, so flags override file
-values, and a key that only another subcommand takes is ignored.  Exit
-status is 1 when no crossover is bracketed and 2 on any other error.
+values, and a key that only another subcommand takes is ignored.  The
+file is read as UTF-8.  ``main`` alone sets the exit status: 1 when no
+crossover is bracketed, 2 on any other error and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def _sweep_spec(args: argparse.Namespace, dr_aliases: tuple[str, ...],
     return SweepSpec(args.region, dr_aliases, payload_bytes, args.devices, **given)
 
 
-def _cmd_params(args: argparse.Namespace) -> int:
+def _cmd_params(args: argparse.Namespace) -> None:
     rows = params.provenance_rows()
     if args.region is not None:
         rows = [row for row in rows if row[0] == args.region]   # column 0: region
@@ -90,10 +91,9 @@ def _cmd_params(args: argparse.Namespace) -> int:
         print(csv_text(params.PROVENANCE_COLUMNS, rows), end="")
     else:
         emit(args.out, params.PROVENANCE_COLUMNS, rows)
-    return 0
 
 
-def _cmd_toa(args: argparse.Namespace) -> int:
+def _cmd_toa(args: argparse.Namespace) -> None:
     profile = dr_profile(args.region, args.dr)
     plan = regional_plan(args.region, args.dr)
     for payload in args.payload:
@@ -103,10 +103,9 @@ def _cmd_toa(args: argparse.Namespace) -> int:
         rate = params.max_packet_rate(plan, toa)
         print(f"region={args.region} dr={args.dr} payload_B={payload} family={profile.family} "
               f"toa_ms={toa:.3f} fragments={frags} max_rate_pkts_h={rate:.3f}")
-    return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> None:
     spec = _sweep_spec(args, args.dr, args.payload)
     results = sweep(spec)
     points = aggregate(results)
@@ -118,18 +117,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"wrote {len(points)} aggregate points to {args.aggregate_out}")
     if args.out is None and args.aggregate_out is None:
         print(csv_text(AGGREGATE_COLUMNS, map(aggregate_row, points)), end="")
-    return 0
 
 
-def _cmd_crossover(args: argparse.Namespace) -> int:
+def _cmd_crossover(args: argparse.Namespace) -> None:
     load = find_crossover(_sweep_spec(args, (args.lora_dr, args.lorae_dr), (args.payload,)))
     print(f"crossover_pkts_h={load:.1f} "
           f"lora_dr={args.lora_dr} lorae_dr={args.lorae_dr} "
           f"payload_B={args.payload}")
-    return 0
 
 
-def _cmd_capacity(args: argparse.Namespace) -> int:
+def _cmd_capacity(args: argparse.Namespace) -> None:
     if args.devices is None:
         args.devices = default_capacity_counts(args.region, args.dr)
     spec = _sweep_spec(args, (args.dr,), (args.payload,))
@@ -141,7 +138,6 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
           f"per_channel_peak_pkts_h={peak.offered_pkts_per_hour:.1f} "
           f"peak_goodput_B_h={peak.mean_goodput_bytes_per_hour:.1f} "
           f"aggregate_capacity_pkts_h={capacity:.1f}")
-    return 0
 
 
 def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
@@ -154,7 +150,8 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
                             metavar=flag[2:].upper(), help=f"{what} (default {defaults[dest]})")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI parser and its subcommand parsers by name."""
     parser = _Parser(prog="lorae-sim",
                      description="LoRa / LoRa-E uplink capacity simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -197,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dr", type=str.upper, required=True, help="data rate alias")
     p.add_argument("--payload", type=int, required=True, help="payload size in bytes")
     _add_sweep_options(p)
-    return parser
+    return parser, sub.choices
 
 
 def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
@@ -207,11 +204,8 @@ def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
             for option in action.option_strings if option.startswith("--")}
 
 
-def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def _with_config(commands: dict[str, argparse.ArgumentParser], argv: list[str]) -> list[str]:
     """``argv`` with its --config file's lines as flags ahead of its own."""
-    (subparsers,) = (action for action in parser._actions
-                     if isinstance(action, argparse._SubParsersAction))
-    commands = subparsers.choices
     if not argv or argv[0] not in commands:
         return argv
     pre = argparse.ArgumentParser(add_help=False)
@@ -222,7 +216,7 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     takes = _config_keys(commands[argv[0]])
     known = set().union(*map(_config_keys, commands.values()))
     flags = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -237,11 +231,12 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(
-            _with_config(parser, list(sys.argv[1:] if argv is None else argv)))
-        return args.func(args)
+            _with_config(commands, list(sys.argv[1:] if argv is None else argv)))
+        args.func(args)
+        return 0
     except CrossoverNotFound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -165,18 +165,17 @@ def _draw_packets(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarra
         schedule = generate_schedule(scenario.devices[first], scenario.horizon_ms, rngs)
         starts.append(schedule.start_times)
         if lorae:
-            block_seeds, block_grids = _hop_draws(rngs, schedule.counts, SEED_COUNT,
-                                                  scenario.plan.num_grids)
+            block_seeds, block_grids = _hop_draws(rngs, schedule.counts, scenario.plan.num_grids)
             seeds.append(block_seeds)
             grids.append(block_grids)
     return np.concatenate(starts), np.concatenate(seeds), np.concatenate(grids)
 
 
-def _hop_draws(rngs: list[np.random.Generator], counts: np.ndarray, num_seeds: int,
-               num_grids: int) -> tuple[np.ndarray, np.ndarray]:
+def _hop_draws(rngs: list[np.random.Generator], counts: np.ndarray, num_grids: int
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Per generator and its count ``c``: ``c`` seeds, then ``c`` grids.
 
-    Equal to ``rng.integers(0, num_seeds, c)`` then ``rng.integers(0,
+    Equal to ``rng.integers(0, SEED_COUNT, c)`` then ``rng.integers(0,
     num_grids, c)`` (uint32) per generator, concatenated in order.  numpy
     draws each value in [0, n) from the next 32-bit half ``h`` of a PCG64
     word, low half first, by Lemire's multiply-shift ``(h * n) >> 32``, and
@@ -187,18 +186,17 @@ def _hop_draws(rngs: list[np.random.Generator], counts: np.ndarray, num_seeds: i
     draws with ``integers`` itself; with 8, 52 or 512 values that happens
     to at most 48 draws in 2**32.
     """
-    for high in (num_seeds, num_grids):
-        if not 2 <= high <= 2 ** 32:
-            raise ValueError(f"draws need 2 to 2**32 values, got {high}")
+    if not 2 <= num_grids <= 2 ** 32:
+        raise ValueError(f"draws need 2 to 2**32 values, got {num_grids}")
     seeds, grids = _raw_halves(rngs, counts)   # frees the raw words before widening
-    seed_redraws = _multiply_shift(seeds, num_seeds)
+    seed_redraws = _multiply_shift(seeds, SEED_COUNT)
     grid_redraws = _multiply_shift(grids, num_grids)
     ends = np.cumsum(counts)
     redrawn = np.searchsorted(ends, np.concatenate((seed_redraws, grid_redraws)), side="right")
     for device in set(redrawn.tolist()):
         rng, end, count = rngs[device], int(ends[device]), int(counts[device])
         rng.bit_generator.advance(2 ** 128 - count)
-        seeds[end - count:end] = rng.integers(0, num_seeds, size=count, dtype=np.uint32)
+        seeds[end - count:end] = rng.integers(0, SEED_COUNT, size=count, dtype=np.uint32)
         grids[end - count:end] = rng.integers(0, num_grids, size=count, dtype=np.uint32)
     return seeds, grids
 

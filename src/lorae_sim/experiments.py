@@ -341,7 +341,8 @@ def emit_aggregate(points: Sequence[AggregatePoint], path: str | Path) -> None:
 
 
 def log_spaced_counts(lo: int, hi: int, n: int) -> tuple[int, ...]:
-    """At most n distinct log-spaced integers from lo to hi inclusive (rounding merges some)."""
+    """At most n distinct log-spaced integers from lo to hi inclusive (rounding
+    merges some); n = 1 gives lo alone."""
     if lo < 1 or hi < lo or n < 1:
         raise ValueError(f"need 1 <= lo <= hi and n >= 1, got {lo}, {hi}, {n}")
     raw = np.geomspace(lo, hi, n)

@@ -140,6 +140,18 @@ def test_config_rejects_malformed_line(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+def test_config_is_read_as_utf8_under_any_locale(tmp_path):
+    # Under the C locale without UTF-8 mode the default text encoding is ASCII.
+    config = tmp_path / "run.cfg"
+    config.write_text("# fragments \u2248 50 ms\ndr = DR9\npayload = 10\ndevices = 3\n"
+                      "horizon_ms = 600000\nreplications = 1\n", encoding="utf-8")
+    run = subprocess.run([sys.executable, "-m", "lorae_sim.cli", "sweep", "--config", str(config)],
+                         capture_output=True, encoding="ascii",
+                         env={**os.environ, "PYTHONPATH": _SRC, "LC_ALL": "C", "PYTHONUTF8": "0"})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[1].startswith("3,DR9,10,")
+
+
 def test_devices_log_range(capsys):
     assert main(["sweep", "--dr", "DR9", "--payload", "10", "--devices-log",
                  "2:8:3", "--horizon-ms", "1800000", "--replications", "1"]) == 0

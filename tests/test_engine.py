@@ -76,13 +76,14 @@ def _integers_draws(rngs, counts, num_seeds, num_grids):
 
 @pytest.mark.parametrize("high", [8, 52, 512, 3 << 30])
 @pytest.mark.parametrize("count", [1, 27, 28, 40, 41])
-def test_hop_draws_equal_integers(high, count):
+def test_hop_draws_equal_integers(monkeypatch, high, count):
     # Odd counts carry a buffered half-word from the seeds into the grids;
     # at 3 << 30 a quarter of all draws are rejected and redrawn.
     counts = np.array([count, 0, count + 1, 2 * count, 3])
     for num_seeds, num_grids in ((high, high), (engine.SEED_COUNT, high), (high, 8)):
+        monkeypatch.setattr(engine, "SEED_COUNT", num_seeds)
         rngs = device_streams(9, 0, len(counts))
-        seeds, grids = engine._hop_draws(rngs, counts, num_seeds, num_grids)
+        seeds, grids = engine._hop_draws(rngs, counts, num_grids)
         assert seeds.dtype == grids.dtype == np.uint32
         rngs = device_streams(9, 0, len(counts))
         assert (seeds.tolist(), grids.tolist()) == _integers_draws(rngs, counts.tolist(),
@@ -93,7 +94,7 @@ def test_hop_draws_equal_integers(high, count):
 def test_hop_draws_need_2_to_2_32_values(high):
     # integers(0, 1) consumes no words, so no raw word can stand for its draw.
     with pytest.raises(ValueError, match="2 to 2\\*\\*32 values"):
-        engine._hop_draws(device_streams(0, 0, 1), np.array([3]), 512, high)
+        engine._hop_draws(device_streams(0, 0, 1), np.array([3]), high)
 
 
 def test_draws_equal_oracle_when_draws_are_rejected(monkeypatch):

@@ -375,6 +375,8 @@ def test_log_spaced_counts():
     counts = log_spaced_counts(10, 1000, 5)
     assert counts[0] == 10 and counts[-1] == 1000
     assert list(counts) == sorted(set(counts))
+    assert log_spaced_counts(10, 1000, 1) == (10,)   # one count is lo alone
+    assert log_spaced_counts(7, 7, 4) == (7,)
     with pytest.raises(ValueError):
         log_spaced_counts(0, 10, 3)
 
