@@ -16,10 +16,14 @@ layout, the decoding and the memory estimate all read the template.
 ``run`` works one grid at a time.  Grids share no sub-carrier, so LoRa-E
 packets on different grids never collide: the packets are split by grid,
 and each grid's emissions are laid out as one hop-major (hops x packets)
-block, collided and decoded on their own.  Peak memory is then the
-per-packet draws plus the busiest grid's emissions.  Before drawing, ``run``
-refuses a scenario whose expected packets would not fit in physical memory
-(``check_memory``).
+block, collided and decoded on their own.  A seed has only ``SEED_COUNT``
+values, so a run computes the hop slots of every seed once, as one narrow
+(hops x seeds) table, and a grid gathers its packets' slot columns from it.
+Slot keys, emission times and, inside the collision kernel, emission
+lengths are held in the narrowest dtypes that hold them.  Peak memory is
+then the per-packet draws plus the busiest grid's emissions.  Before
+drawing, ``run`` refuses a scenario whose expected packets would not fit in
+physical memory (``check_memory``).
 
 Draws: each device's stream gives its arrival schedule, then its packets'
 hopping seeds, then their grids.  The streams of a block of devices are
@@ -230,14 +234,16 @@ def _multiply_shift(halves: np.ndarray, high: int) -> np.ndarray:
 def _collide_arrays(key: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
     """Exact all-pairs overlap flags of (carrier key, start, end) emissions.
 
-    Keys and times are non-negative integers.  Each emission moves onto one
-    number line at ``key * span + start`` with ``span = max(end) + 1``, so
-    emissions on different carriers never overlap there and "same carrier
-    and overlapping" becomes plain interval overlap.  The emission index
-    sits in the low bits of each line position, so one in-place sort of the
-    packed values gives the stable (key, start) order.  In that order an
-    emission overlaps an earlier one iff it starts before the furthest end
-    seen so far, and a later one iff the next start falls before its end.
+    Keys and times are non-negative integers, of any integer dtypes.  Each
+    emission moves onto one number line at ``key * span + start`` with
+    ``span = max(end) + 1``, so emissions on different carriers never
+    overlap there and "same carrier and overlapping" becomes plain interval
+    overlap.  The emission index sits in the low bits of each line position,
+    so one in-place sort of the packed values gives the stable (key, start)
+    order.  In that order an emission overlaps an earlier one iff it starts
+    before the furthest end seen so far, and a later one iff the next start
+    falls before its end.  Lengths ``end - start`` travel through the sort's
+    gather in the narrowest dtype that holds them.
 
     Raises ``ValueError`` when the packed values would not fit in int64.
     """
@@ -248,21 +254,24 @@ def _collide_arrays(key: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.n
     bits = n.bit_length()
     if (int(key.max()) + 1) * span << bits >= 2 ** 63:
         raise ValueError(f"{n} emissions over a {span} ms span do not pack into int64")
+    line = np.subtract(end, start, dtype=np.int64)   # lengths, then line ends
+    length = line.astype(np.min_scalar_type(int(line.max())))
+    order = np.arange(n, dtype=np.int64)
     packed = key.astype(np.int64)
     packed *= span
     packed += start
     packed <<= bits
-    packed |= np.arange(n, dtype=np.int64)
+    packed |= order
     packed.sort()
-    order = packed & ((1 << bits) - 1)
+    np.bitwise_and(packed, (1 << bits) - 1, out=order)
     packed >>= bits                          # line starts, ascending
-    line_end = np.subtract(end, start, dtype=np.int64)[order]
-    line_end += packed
-    hit = np.zeros(n, dtype=bool)
-    hit[:-1] = packed[1:] < line_end[:-1]    # overlaps the next emission
-    np.maximum.accumulate(line_end, out=line_end)
-    hit[1:] |= packed[1:] < line_end[:-1]    # overlaps an earlier emission
+    np.add(packed, length[order], out=line)
+    hit = np.empty(n, dtype=bool)
+    np.less(packed[1:], line[:-1], out=hit[:-1])                  # overlaps the next emission
+    hit[-1] = False
+    np.maximum.accumulate(line, out=line)
     collided = np.empty(n, dtype=bool)
+    hit[1:] |= np.less(packed[1:], line[:-1], out=collided[1:])   # overlaps an earlier one
     collided[order] = hit
     return collided
 
@@ -286,7 +295,7 @@ def bytes_per_packet(scenario: Scenario) -> int:
     A packet of K template emissions on one of G grids adds K / G emissions
     to the grid being collided, and a LoRa-E packet its hop draws.  The line
     was fitted to the peak RSS of EU868 DR8 and DR9 runs (20 000 devices,
-    1 h); they measure 178 and 109 B a packet.  LoRa, one emission on one
+    1 h); they measure 132 and 85 B a packet.  LoRa, one emission on one
     grid, and US915 measure below the line too, and every measured peak is
     above half of it.
     """
@@ -355,21 +364,33 @@ def _run_lorae(start: np.ndarray, seeds: np.ndarray, grids: np.ndarray, template
     """Collide and decode the packets of one grid at a time.
 
     Grids share no carrier, so a packet can only collide with packets of
-    its own grid.  The packets are split by grid with a stable partition;
-    each non-empty grid lays out a hop-major (hops, packets) block keyed by
-    slot alone, makes one collision call and is decoded on its own.  The
-    outcome counts add up to those of the whole scenario.
+    its own grid.  The hop slots of all ``SEED_COUNT`` seeds are computed
+    once, as a (hops, seeds) table in the narrowest unsigned dtype that
+    holds a slot; emission times take the narrowest one that holds the last
+    emission's end.  The packets are split by grid with a stable partition;
+    each non-empty grid gathers its hop-major (hops, packets) keys from the
+    table, makes one collision call and is decoded on its own.  The outcome
+    counts add up to those of the whole scenario.
+
+    Raises ``ValueError`` for a hopping seed outside [0, SEED_COUNT).
     """
     offsets, durs, n_head, threshold = template
+    outside = (seeds < 0) | (seeds >= SEED_COUNT)
+    if outside.any():
+        raise ValueError(f"hopping seed {seeds[outside][0]} outside [0, {SEED_COUNT})")
+    table = slot_matrix(np.arange(SEED_COUNT), len(durs), carriers_per_grid).T.astype(
+        np.min_scalar_type(carriers_per_grid - 1))          # C order (hops, seeds)
+    time_dtype = np.min_scalar_type(int(start.max(initial=0)) + int(offsets[-1] + durs[-1]))
+    offsets, ends = offsets.astype(time_dtype), (offsets + durs).astype(time_dtype)
     order = np.argsort(grids.astype(np.uint16), kind="stable")   # 16-bit keys: radix sort
     outcomes = dict.fromkeys((Outcome.DECODED, Outcome.LOST_HEADER, Outcome.LOST_PAYLOAD), 0)
     for members in np.split(order, np.cumsum(np.bincount(grids))[:-1]):
         if members.size == 0:
             continue
-        key = slot_matrix(seeds[members], len(durs), carriers_per_grid).T   # C order: free ravel
-        em_start = offsets[:, None] + start[members]
-        collided = _collide_arrays(key.ravel(), em_start.ravel(),
-                                   (em_start + durs[:, None]).ravel())
+        key = table.take(seeds[members], axis=1)
+        grid_start = start[members].astype(time_dtype)
+        collided = _collide_arrays(key.ravel(), np.add.outer(offsets, grid_start).ravel(),
+                                   np.add.outer(ends, grid_start).ravel())
         for outcome, count in decode_lorae(~collided.reshape(key.shape).T, n_head,
                                            threshold).items():
             outcomes[outcome] += count

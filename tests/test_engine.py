@@ -13,6 +13,7 @@ from lorae_sim import engine
 from lorae_sim.engine import (Outcome, Scenario, ScenarioConfigError, _collide_arrays,
                               _packet_template, decode_lorae, run)
 from lorae_sim.experiments import RESULT_COLUMNS, build_scenario, csv_row
+from lorae_sim.hopping import slot_matrix
 from lorae_sim.params import EU868, US915, dr_profile, max_packet_rate, regional_plan
 from lorae_sim.traffic import DeviceConfig, device_streams
 
@@ -126,6 +127,24 @@ def test_draws_need_less_memory_than_bytes_per_packet():
     assert peak < engine.bytes_per_packet(scenario) * start.size
 
 
+def test_lorae_run_needs_less_memory_than_its_emission_bytes():
+    # The layout, collision and decoding of one grid at a time are the rest
+    # of a run's peak: their own traced peak must fit in the estimate's
+    # bytes for the busiest grid's emissions.
+    scenario = _scenario("DR8", 10, 1000, 3_600_000, seed=1)
+    template = _packet_template(scenario.profile, 10)
+    start, seeds, grids = engine._draw_packets(scenario)
+    args = (start, seeds, grids, template, scenario.plan.carriers_per_grid)
+    engine._run_lorae(*args)   # imports
+    tracemalloc.start()
+    try:
+        engine._run_lorae(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < engine._EMISSION_BYTES * np.bincount(grids).max() * len(template[1])
+
+
 # --- emission layout ---------------------------------------------------------
 
 def test_dr8_emission_layout():
@@ -156,6 +175,26 @@ def test_emission_slots_follow_hopping_sequence(monkeypatch):
     assert start0.tolist() == (5000 + offsets).tolist()
     assert start4.tolist() == (1000 + offsets).tolist()
     assert (end0 - start0).tolist() == (end4 - start4).tolist() == durs.tolist()
+
+
+@pytest.mark.parametrize("region, dr", [(EU868, "DR8"), (EU868, "DR9"), (US915, "DR5")])
+def test_slot_table_keys_equal_slot_matrix_for_every_seed(monkeypatch, region, dr):
+    # All 512 seeds, shuffled, on one grid: the keys a run gathers from its
+    # slot table are each seed's own sequence, packet for packet.
+    seeds = np.random.default_rng(3).permutation(engine.SEED_COUNT)
+    scenario = _scenario(dr, 10, 1, 3_600_000, seed=0, region=region)
+    _, [(key, _, _)] = _run_drawn(monkeypatch, scenario, [0] * seeds.size, seeds.tolist(),
+                                  [1] * seeds.size)
+    hops = len(_packet_template(scenario.profile, 10)[1])
+    expected = slot_matrix(seeds, hops, scenario.plan.carriers_per_grid)
+    assert (key.reshape(hops, seeds.size).T == expected).all()
+
+
+@pytest.mark.parametrize("seed", [engine.SEED_COUNT, 2 ** 16])
+def test_seed_outside_the_hopping_domain_raises(monkeypatch, seed):
+    scenario = _scenario("DR8", 10, 1, 3_600_000, seed=0)
+    with pytest.raises(ValueError, match=re.escape(f"hopping seed {seed} outside [0, 512)")):
+        _run_drawn(monkeypatch, scenario, [0, 10], seeds=[7, seed], grids=[0, 1])
 
 
 def test_lora_emission_is_whole_channel(monkeypatch):
@@ -258,6 +297,19 @@ def test_carrier_keys_in_the_thousands():
     key[:40] = 3119
     start = rng.integers(0, 300, 400)
     end = start + rng.integers(1, 60, 400)
+    expected = oracles.brute_force_collisions(_rows(key, start, end))
+    assert _collide_arrays(key, start, end).tolist() == expected
+    assert any(expected) and not all(expected)
+
+
+@pytest.mark.parametrize("longest", [233, 992])   # a DR8 header; a DR0 airtime needs uint16
+def test_uint8_keys_and_int32_times_equal_brute_force(longest):
+    rng = np.random.default_rng(31)
+    key = rng.integers(0, 35, 300).astype(np.uint8)
+    start = rng.integers(0, 40 * longest, 300).astype(np.int32)
+    length = rng.integers(1, longest + 1, 300).astype(np.int32)
+    length[0] = longest
+    end = start + length
     expected = oracles.brute_force_collisions(_rows(key, start, end))
     assert _collide_arrays(key, start, end).tolist() == expected
     assert any(expected) and not all(expected)
@@ -419,7 +471,7 @@ def test_run_equals_reference(dr, payload, devices):
 def test_lopsided_grids_equal_reference(monkeypatch, region, dr, grids):
     rng = np.random.default_rng(9)
     starts = rng.integers(0, 4_000, len(grids)).tolist()   # crowded: many collisions
-    seeds = rng.integers(0, 2 ** 16, len(grids)).tolist()
+    seeds = (rng.integers(0, 2 ** 16, len(grids)) % engine.SEED_COUNT).tolist()
     scenario = _scenario(dr, 10, 1, 3_600_000, seed=0, region=region)
     result, calls = _run_drawn(monkeypatch, scenario, starts, seeds, grids)
     assert len(calls) == len(set(grids))
@@ -555,11 +607,11 @@ def test_memory_guard_compares_bytes_with_physical_memory(monkeypatch):
 # Peak RSS per packet, as ru_maxrss after run minus after build_scenario in a
 # fresh process, 10 B, seed 1: the least and the most over these runs.
 @pytest.mark.parametrize("region, dr, measured", [
-    (EU868, "DR8", (177.7, 184.4)),   # 20 000 and 40 000 devices, 1 h
-    (EU868, "DR9", (108.8, 112.6)),   # 20 000 and 40 000 devices, 1 h
-    (EU868, "DR0", (53.7, 67.5)),     # 100 and 400 devices, 100 h
-    (EU868, "DR5", (52.1, 56.8)),     # 100 and 200 devices for 10 h, 1 000 for 1 h
-    (US915, "DR5", (48.0, 55.0)),     # 400 and 2 000 devices, 1 h
+    (EU868, "DR8", (120.6, 131.6)),   # 20 000 and 40 000 devices, 1 h
+    (EU868, "DR9", (78.9, 85.2)),     # 20 000 and 40 000 devices, 1 h
+    (EU868, "DR0", (48.9, 63.5)),     # 100 and 400 devices, 100 h
+    (EU868, "DR5", (48.0, 52.9)),     # 100 and 200 devices for 10 h, 1 000 for 1 h
+    (US915, "DR5", (40.4, 46.8)),     # 400 and 2 000 devices, 1 h
 ])
 def test_bytes_per_packet_bounds_the_measured_peaks(region, dr, measured):
     per_packet = engine.bytes_per_packet(_scenario(dr, 10, 1, 3_600_000, seed=1, region=region))
