@@ -10,10 +10,11 @@ There is no capture effect and no partial-overlap survival.
 Every packet of a scenario follows one template (``_packet_template``): a
 LoRa-E packet is its header replicas, then its fragments, and needs one
 uncollided header and ``ceil(coding_rate x fragment_count)`` uncollided
-fragments; a LoRa packet is one emission that must stay uncollided.  The
-layout, the decoding and the memory estimate all read the template.
+fragments; a LoRa packet is one emission, its own header, with threshold 0.
+The layout, the decoding and the memory estimate all read the template, on
+one path for both families: LoRa is one grid of one carrier, and one hop.
 
-``run`` works one grid at a time.  Grids share no sub-carrier, so LoRa-E
+``run`` works one grid at a time.  Grids share no sub-carrier, so
 packets on different grids never collide: the packets are split by grid,
 and each grid's emissions are laid out as one hop-major (hops x packets)
 block, collided and decoded on their own.  A seed has only ``SEED_COUNT``
@@ -49,8 +50,8 @@ from .params import HEADER_MS, lorae_fragment_durations, lora_time_on_air
 from .traffic import DeviceConfig, device_streams, generate_schedule
 
 _DRAW_DEVICES = 1024                 # devices per block of streams, schedules and hop draws
-_EMISSION_BYTES = 83                 # peak RSS per emission of the grid being collided
-_HOP_DRAW_BYTES = 43                 # and per LoRa-E packet: hop seed and grid, grid split
+_EMISSION_BYTES = 64                 # peak RSS per emission of the grid being collided
+_HOP_DRAW_BYTES = 28                 # and per packet: its draws and their grid split
 _Template = tuple[np.ndarray, np.ndarray, int, int]   # offsets, durations, n_head, threshold
 
 
@@ -136,10 +137,10 @@ def _packet_template(profile: DataRateProfile, payload_bytes: int) -> _Template:
     replicas back to back, then its fragments.  Either decodes with a clean
     header and ``threshold = ceil(coding_rate x fragments)`` clean fragments.
     """
+    n_head = profile.header_replicas
     if profile.family == LORA:
-        n_head, durations = 1, (math.ceil(lora_time_on_air(profile, payload_bytes)),)
+        durations = (math.ceil(lora_time_on_air(profile, payload_bytes)),)
     else:
-        n_head = profile.header_replicas
         durations = (HEADER_MS,) * n_head + lorae_fragment_durations(profile, payload_bytes)
     durs = np.array(durations, dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(durs[:-1])))
@@ -156,12 +157,10 @@ def _draw_packets(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarra
     (LoRa-E only) one block of hopping seeds, then one block of grids, as
     ``Generator.integers`` would draw them (see ``_hop_draws``).  Streams,
     schedules and hop draws are made ``_DRAW_DEVICES`` devices at a time,
-    which keeps the draw buffers small.  LoRa scenarios get empty seed and
-    grid arrays.
+    which keeps the draw buffers small.  A LoRa packet draws neither: it
+    gets seed 0 and grid 0, one read-only zero-stride view for both.
     """
-    starts: list[np.ndarray] = []
-    seeds: list[np.ndarray] = [np.empty(0, dtype=np.uint32)]
-    grids: list[np.ndarray] = [np.empty(0, dtype=np.uint32)]
+    starts, seeds, grids = [], [], []
     lorae = scenario.profile.family == LORA_E
     n = len(scenario.devices)
     for first in range(0, n, _DRAW_DEVICES):
@@ -172,7 +171,11 @@ def _draw_packets(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarra
             block_seeds, block_grids = _hop_draws(rngs, schedule.counts, scenario.plan.num_grids)
             seeds.append(block_seeds)
             grids.append(block_grids)
-    return np.concatenate(starts), np.concatenate(seeds), np.concatenate(grids)
+    start = np.concatenate(starts)
+    if not lorae:
+        zeros = np.broadcast_to(np.uint32(0), start.shape)
+        return start, zeros, zeros
+    return start, np.concatenate(seeds), np.concatenate(grids)
 
 
 def _hop_draws(rngs: list[np.random.Generator], counts: np.ndarray, num_grids: int
@@ -277,31 +280,32 @@ def _collide_arrays(key: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.n
 
 
 def decode_lorae(clean: np.ndarray, n_head: int, threshold: int) -> dict[Outcome, int]:
-    """Outcome counts of LoRa-E packets from their uncollided-emission flags.
+    """Outcome counts of packets of either family from their uncollided-emission flags.
 
-    ``clean`` holds one row per packet, header replicas first.  A packet
-    decodes with at least one clean header and ``threshold`` clean fragments.
+    ``clean`` is hop-major: one row per template emission, header replicas
+    first, and one column per packet.  A packet decodes with at least one
+    clean header and ``threshold`` clean fragments.  A LoRa packet's one
+    emission is its header, and its threshold is 0.
     """
-    lost_header = ~clean[:, :n_head].any(axis=1)
-    decoded = ~lost_header & (np.count_nonzero(clean[:, n_head:], axis=1) >= threshold)
-    n_decoded, n_lost_header = int(decoded.sum()), int(lost_header.sum())
-    return {Outcome.DECODED: n_decoded, Outcome.LOST_HEADER: n_lost_header,
-            Outcome.LOST_PAYLOAD: len(clean) - n_decoded - n_lost_header}
+    heard = clean[:n_head].any(axis=0)
+    fragments = clean[n_head:].sum(axis=0, dtype=np.min_scalar_type(len(clean)))
+    n_heard = int(np.count_nonzero(heard))
+    n_decoded = int(np.count_nonzero(heard & (fragments >= threshold)))
+    return {Outcome.DECODED: n_decoded, Outcome.LOST_HEADER: clean.shape[1] - n_heard,
+            Outcome.LOST_PAYLOAD: n_heard - n_decoded}
 
 
 def bytes_per_packet(scenario: Scenario) -> int:
     """Peak memory a run of ``scenario`` is expected to need per packet.
 
     A packet of K template emissions on one of G grids adds K / G emissions
-    to the grid being collided, and a LoRa-E packet its hop draws.  The line
-    was fitted to the peak RSS of EU868 DR8 and DR9 runs (20 000 devices,
-    1 h); they measure 132 and 85 B a packet.  LoRa, one emission on one
-    grid, and US915 measure below the line too, and every measured peak is
-    above half of it.
+    to the grid being collided, plus its share of the draws.  LoRa is the
+    case K = G = 1.  The line was fitted to the peak RSS of EU868 DR8, DR9,
+    DR0 and DR5 and of US915 DR5 runs, and every measured peak lies between
+    half of it and it.
     """
     _, durations, _, _ = _packet_template(scenario.profile, scenario.payload_bytes)
-    hop_draws = _HOP_DRAW_BYTES if scenario.profile.family == LORA_E else 0
-    return math.ceil(hop_draws + _EMISSION_BYTES * len(durations) / scenario.plan.num_grids)
+    return math.ceil(_HOP_DRAW_BYTES + _EMISSION_BYTES * len(durations) / scenario.plan.num_grids)
 
 
 def check_memory(scenario: Scenario) -> int:
@@ -330,10 +334,9 @@ def run(scenario: Scenario) -> ScenarioResult:
     check_memory(scenario)
     template = _packet_template(scenario.profile, scenario.payload_bytes)
     start, seeds, grids = _draw_packets(scenario)
-    if scenario.profile.family == LORA:
-        outcomes = _run_lora(start, template)
-    else:
-        outcomes = _run_lorae(start, seeds, grids, template, scenario.plan.carriers_per_grid)
+    outcomes = _run_lorae(start, seeds, grids, template, scenario.plan.carriers_per_grid)
+    if scenario.profile.family == LORA:   # its one emission is its header
+        outcomes[Outcome.LOST_COLLISION] = outcomes.pop(Outcome.LOST_HEADER)
     per_hour = 3_600_000 / scenario.horizon_ms
     decoded = outcomes.pop(Outcome.DECODED)
     return ScenarioResult(
@@ -351,47 +354,43 @@ def run(scenario: Scenario) -> ScenarioResult:
     )
 
 
-def _run_lora(start: np.ndarray, template: _Template) -> dict[Outcome, int]:
-    """Outcome counts of LoRa packets: one whole-channel emission each."""
-    _, (duration,), _, _ = template
-    key = np.zeros(start.shape, dtype=np.int64)   # one shared channel
-    lost = int(_collide_arrays(key, start, start + duration).sum())
-    return {Outcome.DECODED: start.size - lost, Outcome.LOST_COLLISION: lost}
-
-
 def _run_lorae(start: np.ndarray, seeds: np.ndarray, grids: np.ndarray, template: _Template,
                carriers_per_grid: int) -> dict[Outcome, int]:
-    """Collide and decode the packets of one grid at a time.
+    """Collide and decode the packets of either family, one grid at a time.
 
     Grids share no carrier, so a packet can only collide with packets of
     its own grid.  The hop slots of all ``SEED_COUNT`` seeds are computed
     once, as a (hops, seeds) table in the narrowest unsigned dtype that
     holds a slot; emission times take the narrowest one that holds the last
-    emission's end.  The packets are split by grid with a stable partition;
-    each non-empty grid gathers its hop-major (hops, packets) keys from the
-    table, makes one collision call and is decoded on its own.  The outcome
-    counts add up to those of the whole scenario.
+    emission's end.  The packets are split by grid with a stable partition,
+    which is the identity when every packet is on grid 0 (so always for
+    LoRa: one grid of one carrier, one hop).  Each non-empty grid gathers
+    its hop-major (hops, packets) keys from the table, makes one collision
+    call and is decoded on its own.  The outcome counts add up to those of
+    the whole scenario.
 
     Raises ``ValueError`` for a hopping seed outside [0, SEED_COUNT).
     """
     offsets, durs, n_head, threshold = template
-    outside = (seeds < 0) | (seeds >= SEED_COUNT)
-    if outside.any():
-        raise ValueError(f"hopping seed {seeds[outside][0]} outside [0, {SEED_COUNT})")
+    if seeds.max(initial=0) >= SEED_COUNT:
+        raise ValueError(f"hopping seed {seeds[seeds >= SEED_COUNT][0]} outside [0, {SEED_COUNT})")
     table = slot_matrix(np.arange(SEED_COUNT), len(durs), carriers_per_grid).T.astype(
         np.min_scalar_type(carriers_per_grid - 1))          # C order (hops, seeds)
     time_dtype = np.min_scalar_type(int(start.max(initial=0)) + int(offsets[-1] + durs[-1]))
     offsets, ends = offsets.astype(time_dtype), (offsets + durs).astype(time_dtype)
-    order = np.argsort(grids.astype(np.uint16), kind="stable")   # 16-bit keys: radix sort
+    if grids.max(initial=0) == 0:
+        parts = [(start, seeds)]
+    else:
+        order = np.argsort(grids.astype(np.uint16), kind="stable")   # 16-bit keys: radix sort
+        parts = ((start[m], seeds[m]) for m in np.split(order, np.cumsum(np.bincount(grids))[:-1])
+                 if m.size)
     outcomes = dict.fromkeys((Outcome.DECODED, Outcome.LOST_HEADER, Outcome.LOST_PAYLOAD), 0)
-    for members in np.split(order, np.cumsum(np.bincount(grids))[:-1]):
-        if members.size == 0:
-            continue
-        key = table.take(seeds[members], axis=1)
-        grid_start = start[members].astype(time_dtype)
+    for grid_start, grid_seeds in parts:
+        key = table.take(grid_seeds, axis=1, mode="clip")   # seeds are checked above
+        grid_start = grid_start.astype(time_dtype)
         collided = _collide_arrays(key.ravel(), np.add.outer(offsets, grid_start).ravel(),
                                    np.add.outer(ends, grid_start).ravel())
-        for outcome, count in decode_lorae(~collided.reshape(key.shape).T, n_head,
+        for outcome, count in decode_lorae(~collided.reshape(key.shape), n_head,
                                            threshold).items():
             outcomes[outcome] += count
     return outcomes

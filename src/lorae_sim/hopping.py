@@ -45,9 +45,10 @@ def slot_matrix(seeds: np.ndarray, n_hops: int, carriers_per_grid: int) -> np.nd
     (seed, k) modulo the grid size, and a slot equal to its (already
     bumped) predecessor is bumped by one.  The slots are laid out hop-major,
     so each bump works on contiguous rows; the result is the transposed view.
+    A sequence of at most one hop never hops, so one slot is enough for it.
     """
-    if carriers_per_grid < 2:
-        raise ValueError(f"hopping needs at least 2 slots per grid, got {carriers_per_grid}")
+    if carriers_per_grid < (2 if n_hops > 1 else 1):
+        raise ValueError(f"{n_hops} hops need more than {carriers_per_grid} slots per grid")
     seeds = np.asarray(seeds, dtype=np.uint32)
     hops = np.arange(n_hops, dtype=np.uint32)
     slots = (hop_hash_array(seeds[None, :], hops[:, None]) % np.uint32(carriers_per_grid)

@@ -30,8 +30,8 @@ def _scenario(dr: str, payload: int, devices: int, horizon_ms: int,
     return build_scenario(region, dr, payload, devices, horizon_ms, seed)
 
 
-def _run_drawn(monkeypatch, scenario: Scenario, starts: list[int],
-               seeds: list[int] = (), grids: list[int] = ()):
+def _run_drawn(monkeypatch, scenario: Scenario, starts: list[int], seeds: list[int],
+               grids: list[int]):
     """Run ``scenario`` on hand-set packet draws; return the result and one
     (key, start, end) triple per call of the collision sweep."""
     laid_out = []
@@ -114,7 +114,7 @@ def test_us915_draws_equal_oracle(seed):
 
 def test_draws_need_less_memory_than_bytes_per_packet():
     # The draws are the first part of a run's peak, so their own traced peak
-    # must fit in the estimate for the whole run: 69 B a packet on US915 DR5.
+    # must fit in the estimate for the whole run: 48 B a packet on US915 DR5.
     # They measure 32 B (the start, seed and grid arrays and their copies).
     scenario = _scenario("DR5", 10, 50, 3_600_000, seed=1, region=US915)
     engine._draw_packets(_scenario("DR5", 10, 2, 60_000, seed=1, region=US915))  # imports
@@ -199,7 +199,7 @@ def test_seed_outside_the_hopping_domain_raises(monkeypatch, seed):
 
 def test_lora_emission_is_whole_channel(monkeypatch):
     _, [(key, start, end)] = _run_drawn(monkeypatch, _scenario("DR0", 10, 1, 3_600_000, 0),
-                                        [50, 3000])
+                                        [50, 3000], seeds=[0, 0], grids=[0, 0])
     assert key.tolist() == [0, 0]
     assert start.tolist() == [50, 3000]
     assert end.tolist() == [50 + 992, 3000 + 992]
@@ -340,9 +340,9 @@ def _outcome(dr: str, clean_headers: int, clean_fragments: int) -> Outcome:
     profile = dr_profile(EU868, dr)
     _, durs, n_head, threshold = _packet_template(profile, 10)
     n_frag = len(durs) - n_head
-    row = np.concatenate([np.arange(n_head) < clean_headers,
-                          np.arange(n_frag) < clean_fragments])
-    counts = decode_lorae(row[None, :], n_head, threshold)
+    column = np.concatenate([np.arange(n_head) < clean_headers,
+                             np.arange(n_frag) < clean_fragments])
+    counts = decode_lorae(column[:, None], n_head, threshold)   # hop-major: one column
     (outcome,) = [k for k, v in counts.items() if v]
     assert counts[outcome] == 1
     return outcome
@@ -374,7 +374,7 @@ def test_exact_threshold_decodes():
 def test_lora_adjudication_is_all_or_nothing(monkeypatch):
     # 992 ms packets: a 1 ms overlap destroys both, the third is untouched.
     result, _ = _run_drawn(monkeypatch, _scenario("DR0", 10, 1, 3_600_000, 0),
-                           [0, 991, 5000])
+                           [0, 991, 5000], seeds=[0] * 3, grids=[0] * 3)
     assert result.decoded_packets == 1
     assert result.loss_breakdown == {Outcome.LOST_COLLISION: 2}
 
@@ -467,6 +467,7 @@ def test_run_equals_reference(dr, payload, devices):
     (EU868, "DR9", [1, 2, 3, 4, 5, 6] * 12),     # grids 0 and 7 empty
     (US915, "DR5", [51] * 80),
     (US915, "DR5", list(range(1, 51, 7)) * 12),  # grids 0 and 51 empty
+    (EU868, "DR8", [0] * 80),                    # every packet on grid 0: no partition
 ])
 def test_lopsided_grids_equal_reference(monkeypatch, region, dr, grids):
     rng = np.random.default_rng(9)
@@ -531,7 +532,7 @@ def test_a_packet_without_an_outcome_breaks_conservation(monkeypatch):
     # Generated counts the packets drawn, not the outcomes, so a decoder that
     # drops a packet (here each grid's first) cannot pass unnoticed.
     decode = engine.decode_lorae
-    monkeypatch.setattr(engine, "decode_lorae", lambda clean, *rule: decode(clean[1:], *rule))
+    monkeypatch.setattr(engine, "decode_lorae", lambda clean, *rule: decode(clean[:, 1:], *rule))
     with pytest.raises(ValueError, match=r"decoded \+ losses must equal generated"):
         run(_scenario("DR8", 10, 50, 3_600_000, seed=1))
 
@@ -565,6 +566,22 @@ def test_offered_load_is_the_per_device_sum_bit_for_bit():
     scenario = _scenario("DR8", 10, 300, 14_400_000, seed=21)
     per_device = sum(max_packet_rate(d.plan, d.time_on_air_ms) for d in scenario.devices)
     assert scenario.offered_load_pkts_per_hour() == per_device
+
+
+@pytest.mark.parametrize("dr", ["DR0", "DR8"])
+def test_both_families_take_one_layout_path(monkeypatch, dr):
+    # One layout, collision and decode path: a LoRa run is its one-grid,
+    # one-carrier, one-emission case, and makes the same single call.
+    calls = []
+
+    def run_lorae(*args):
+        calls.append(args)
+        return layout(*args)
+
+    layout = engine._run_lorae
+    monkeypatch.setattr(engine, "_run_lorae", run_lorae)
+    result = run(_scenario(dr, 10, 20, 3_600_000, seed=3))
+    assert len(calls) == 1 and result.generated_packets > 0
 
 
 def test_lora_scenario_loses_only_to_collisions():
@@ -605,13 +622,13 @@ def test_memory_guard_compares_bytes_with_physical_memory(monkeypatch):
 
 
 # Peak RSS per packet, as ru_maxrss after run minus after build_scenario in a
-# fresh process, 10 B, seed 1: the least and the most over these runs.
+# fresh process, 10 B, seed 1: the least and the most over three runs of each.
 @pytest.mark.parametrize("region, dr, measured", [
-    (EU868, "DR8", (120.6, 131.6)),   # 20 000 and 40 000 devices, 1 h
-    (EU868, "DR9", (78.9, 85.2)),     # 20 000 and 40 000 devices, 1 h
-    (EU868, "DR0", (48.9, 63.5)),     # 100 and 400 devices, 100 h
-    (EU868, "DR5", (48.0, 52.9)),     # 100 and 200 devices for 10 h, 1 000 for 1 h
-    (US915, "DR5", (40.4, 46.8)),     # 400 and 2 000 devices, 1 h
+    (EU868, "DR8", (110.8, 126.4)),   # 20 000 and 40 000 devices, 1 h
+    (EU868, "DR9", (73.7, 83.6)),     # 20 000 and 40 000 devices, 1 h
+    (EU868, "DR0", (56.2, 71.6)),     # 100 and 400 devices, 100 h
+    (EU868, "DR5", (52.3, 59.6)),     # 100 and 200 devices for 10 h, 1 000 for 1 h
+    (US915, "DR5", (40.4, 45.4)),     # 400 and 2 000 devices, 1 h
 ])
 def test_bytes_per_packet_bounds_the_measured_peaks(region, dr, measured):
     per_packet = engine.bytes_per_packet(_scenario(dr, 10, 1, 3_600_000, seed=1, region=region))

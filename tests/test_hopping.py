@@ -82,6 +82,8 @@ def test_all_512_sequences_distinct():
 def test_sequence_argument_validation():
     with pytest.raises(ValueError):
         slot_matrix(np.array([1]), 8, 1)
+    # One hop never hops, so one carrier (LoRa's whole channel) is enough.
+    assert (slot_matrix(np.arange(SEED_COUNT), 1, 1) == 0).all()
     assert slot_matrix(np.array([1]), 0, 35).shape == (1, 0)
 
 
