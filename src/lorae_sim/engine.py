@@ -18,9 +18,9 @@ one path for both families: LoRa is one grid of one carrier, and one hop.
 packets on different grids never collide: the packets are split by grid,
 and each grid's emissions are laid out as one hop-major (hops x packets)
 block, collided and decoded on their own.  A seed has only ``SEED_COUNT``
-values, so a run computes the hop slots of every seed once, as one narrow
-(hops x seeds) table, and a grid gathers its packets' slot columns from it.
-Slot keys, emission times and, inside the collision kernel, emission
+values, so a run takes every seed's hop slots once, as one narrow (hops x
+seeds) ``slot_table``, and a grid gathers its packets' slot columns from
+it.  Slot keys, emission times and, inside the collision kernel, emission
 lengths are held in the narrowest dtypes that hold them.  Peak memory is
 then the per-packet draws plus the busiest grid's emissions.  Before
 drawing, ``run`` refuses a scenario whose expected packets would not fit in
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hopping import SEED_COUNT, slot_matrix
+from .hopping import SEED_COUNT, slot_table
 from .params import LORA, LORA_E, DataRateProfile, RegionalPlan, max_packet_rate
 from .params import HEADER_MS, lorae_fragment_durations, lora_time_on_air
 from .traffic import DeviceConfig, device_streams, generate_schedule
@@ -279,7 +279,7 @@ def _collide_arrays(key: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.n
     return collided
 
 
-def decode_lorae(clean: np.ndarray, n_head: int, threshold: int) -> dict[Outcome, int]:
+def decode(clean: np.ndarray, n_head: int, threshold: int) -> dict[Outcome, int]:
     """Outcome counts of packets of either family from their uncollided-emission flags.
 
     ``clean`` is hop-major: one row per template emission, header replicas
@@ -359,23 +359,22 @@ def _run_lorae(start: np.ndarray, seeds: np.ndarray, grids: np.ndarray, template
     """Collide and decode the packets of either family, one grid at a time.
 
     Grids share no carrier, so a packet can only collide with packets of
-    its own grid.  The hop slots of all ``SEED_COUNT`` seeds are computed
-    once, as a (hops, seeds) table in the narrowest unsigned dtype that
-    holds a slot; emission times take the narrowest one that holds the last
-    emission's end.  The packets are split by grid with a stable partition,
-    which is the identity when every packet is on grid 0 (so always for
-    LoRa: one grid of one carrier, one hop).  Each non-empty grid gathers
-    its hop-major (hops, packets) keys from the table, makes one collision
-    call and is decoded on its own.  The outcome counts add up to those of
-    the whole scenario.
+    its own grid.  The hop slots of all ``SEED_COUNT`` seeds come from one
+    ``slot_table`` call, a (hops, seeds) table in a narrow unsigned dtype;
+    emission times take the narrowest one that holds the last emission's
+    end.  The packets are split by grid with a stable partition, which is
+    the identity when every packet is on grid 0 (so always for LoRa: one
+    grid of one carrier, one hop).  Each non-empty grid gathers its
+    hop-major (hops, packets) keys from the table, makes one collision call
+    and is decoded on its own.  The outcome counts add up to those of the
+    whole scenario.
 
     Raises ``ValueError`` for a hopping seed outside [0, SEED_COUNT).
     """
     offsets, durs, n_head, threshold = template
     if seeds.max(initial=0) >= SEED_COUNT:
         raise ValueError(f"hopping seed {seeds[seeds >= SEED_COUNT][0]} outside [0, {SEED_COUNT})")
-    table = slot_matrix(np.arange(SEED_COUNT), len(durs), carriers_per_grid).T.astype(
-        np.min_scalar_type(carriers_per_grid - 1))          # C order (hops, seeds)
+    table = slot_table(len(durs), carriers_per_grid)
     time_dtype = np.min_scalar_type(int(start.max(initial=0)) + int(offsets[-1] + durs[-1]))
     offsets, ends = offsets.astype(time_dtype), (offsets + durs).astype(time_dtype)
     if grids.max(initial=0) == 0:
@@ -390,7 +389,6 @@ def _run_lorae(start: np.ndarray, seeds: np.ndarray, grids: np.ndarray, template
         grid_start = grid_start.astype(time_dtype)
         collided = _collide_arrays(key.ravel(), np.add.outer(offsets, grid_start).ravel(),
                                    np.add.outer(ends, grid_start).ravel())
-        for outcome, count in decode_lorae(~collided.reshape(key.shape), n_head,
-                                           threshold).items():
+        for outcome, count in decode(~collided.reshape(key.shape), n_head, threshold).items():
             outcomes[outcome] += count
     return outcomes

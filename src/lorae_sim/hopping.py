@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-SEED_BITS = 9
-SEED_COUNT = 1 << SEED_BITS        # 512 distinct sequences per grid size
+SEED_COUNT = 512                   # 9-bit seeds: 512 distinct sequences per grid size
 _HOP_WORD_STRIDE = 0x10000
 
 # Multiply constants for the xor-multiply avalanche mix below, fixed by an
@@ -38,22 +37,22 @@ def hop_hash_array(seeds: np.ndarray, hop_indices: np.ndarray) -> np.ndarray:
     return x
 
 
-def slot_matrix(seeds: np.ndarray, n_hops: int, carriers_per_grid: int) -> np.ndarray:
-    """Hop slots for many seeds at once, shape ``(len(seeds), n_hops)``.
+def slot_table(n_hops: int, carriers_per_grid: int) -> np.ndarray:
+    """Hop slots of every seed, a C-order ``(n_hops, SEED_COUNT)`` table.
 
-    Row ``i`` is the sequence of ``seeds[i]``: hop ``k`` reduces the hash of
-    (seed, k) modulo the grid size, and a slot equal to its (already
-    bumped) predecessor is bumped by one.  The slots are laid out hop-major,
-    so each bump works on contiguous rows; the result is the transposed view.
-    A sequence of at most one hop never hops, so one slot is enough for it.
+    Column ``s`` is the sequence of seed ``s``: hop ``k`` reduces the hash of
+    (s, k) modulo the grid size, and a slot equal to its (already bumped)
+    predecessor is bumped by one.  The dtype is the narrowest that holds
+    ``carriers_per_grid``, so a bump never overflows before it wraps.  A
+    sequence of at most one hop never hops, so one slot is enough for it.
     """
     if carriers_per_grid < (2 if n_hops > 1 else 1):
         raise ValueError(f"{n_hops} hops need more than {carriers_per_grid} slots per grid")
-    seeds = np.asarray(seeds, dtype=np.uint32)
+    seeds = np.arange(SEED_COUNT, dtype=np.uint32)
     hops = np.arange(n_hops, dtype=np.uint32)
     slots = (hop_hash_array(seeds[None, :], hops[:, None]) % np.uint32(carriers_per_grid)
-             ).astype(np.int64)
+             ).astype(np.min_scalar_type(carriers_per_grid))
     for prev, row in zip(slots, slots[1:]):
         row += row == prev
         row[row == carriers_per_grid] = 0
-    return slots.T
+    return slots

@@ -16,7 +16,7 @@ import pytest
 from lorae_sim.engine import run
 from lorae_sim.experiments import (CrossoverNotFound, SweepSpec, _usable_cpus, aggregate,
                                    aggregate_capacity, find_crossover, peak_point, sweep)
-from lorae_sim.hopping import SEED_COUNT, hop_hash_array, slot_matrix
+from lorae_sim.hopping import SEED_COUNT, hop_hash_array, slot_table
 from lorae_sim.params import (EU868, US915, dr_profile, lorae_fragment_count,
                               lorae_time_on_air, regional_plan)
 
@@ -234,7 +234,7 @@ def test_criterion_7_property_suites():
         seeds = np.arange(SEED_COUNT, dtype=np.uint32)
         hops = np.arange(n_hops, dtype=np.uint32)[:, None]
         raw = (hop_hash_array(seeds[None, :], hops) % np.uint32(cpg)).astype(np.int64)
-        adjusted = slot_matrix(seeds, n_hops, cpg)
+        adjusted = slot_table(n_hops, cpg)
         for name, matrix in (("raw", raw), ("adjusted", adjusted)):
             counts = np.bincount(matrix.ravel(), minlength=cpg)
             dev = float(np.abs(counts - matrix.size / cpg).max() / (matrix.size / cpg))
@@ -246,8 +246,8 @@ def test_criterion_7_property_suites():
     # Consecutive hops keep the regulatory frequency separation.
     for region, dr, min_hop in ((EU868, "DR8", 3_900), (US915, "DR5", 25_400)):
         plan = regional_plan(region, dr)
-        matrix = slot_matrix(np.arange(SEED_COUNT), 64, plan.carriers_per_grid)
-        gap = int(np.abs(np.diff(matrix * min_hop, axis=1)).min())
+        table = slot_table(64, plan.carriers_per_grid).astype(np.int64)   # uint8 would wrap
+        gap = int(np.abs(np.diff(table * min_hop, axis=0)).min())
         print(f"  {region} {dr}: min consecutive-hop separation {gap} Hz "
               f"(floor {min_hop})")
         if gap < min_hop:

@@ -11,9 +11,8 @@ import pytest
 
 from lorae_sim import engine
 from lorae_sim.engine import (Outcome, Scenario, ScenarioConfigError, _collide_arrays,
-                              _packet_template, decode_lorae, run)
+                              _packet_template, decode, run)
 from lorae_sim.experiments import RESULT_COLUMNS, build_scenario, csv_row
-from lorae_sim.hopping import slot_matrix
 from lorae_sim.params import EU868, US915, dr_profile, max_packet_rate, regional_plan
 from lorae_sim.traffic import DeviceConfig, device_streams
 
@@ -178,7 +177,7 @@ def test_emission_slots_follow_hopping_sequence(monkeypatch):
 
 
 @pytest.mark.parametrize("region, dr", [(EU868, "DR8"), (EU868, "DR9"), (US915, "DR5")])
-def test_slot_table_keys_equal_slot_matrix_for_every_seed(monkeypatch, region, dr):
+def test_slot_table_keys_equal_oracle_for_every_seed(monkeypatch, region, dr):
     # All 512 seeds, shuffled, on one grid: the keys a run gathers from its
     # slot table are each seed's own sequence, packet for packet.
     seeds = np.random.default_rng(3).permutation(engine.SEED_COUNT)
@@ -186,8 +185,8 @@ def test_slot_table_keys_equal_slot_matrix_for_every_seed(monkeypatch, region, d
     _, [(key, _, _)] = _run_drawn(monkeypatch, scenario, [0] * seeds.size, seeds.tolist(),
                                   [1] * seeds.size)
     hops = len(_packet_template(scenario.profile, 10)[1])
-    expected = slot_matrix(seeds, hops, scenario.plan.carriers_per_grid)
-    assert (key.reshape(hops, seeds.size).T == expected).all()
+    for seed, column in zip(seeds.tolist(), key.reshape(hops, seeds.size).T.tolist()):
+        assert column == oracles.hop_slots(seed, hops, scenario.plan.carriers_per_grid)
 
 
 @pytest.mark.parametrize("seed", [engine.SEED_COUNT, 2 ** 16])
@@ -342,7 +341,7 @@ def _outcome(dr: str, clean_headers: int, clean_fragments: int) -> Outcome:
     n_frag = len(durs) - n_head
     column = np.concatenate([np.arange(n_head) < clean_headers,
                              np.arange(n_frag) < clean_fragments])
-    counts = decode_lorae(column[:, None], n_head, threshold)   # hop-major: one column
+    counts = decode(column[:, None], n_head, threshold)   # hop-major: one column
     (outcome,) = [k for k, v in counts.items() if v]
     assert counts[outcome] == 1
     return outcome
@@ -531,8 +530,7 @@ def test_conservation_and_determinism():
 def test_a_packet_without_an_outcome_breaks_conservation(monkeypatch):
     # Generated counts the packets drawn, not the outcomes, so a decoder that
     # drops a packet (here each grid's first) cannot pass unnoticed.
-    decode = engine.decode_lorae
-    monkeypatch.setattr(engine, "decode_lorae", lambda clean, *rule: decode(clean[:, 1:], *rule))
+    monkeypatch.setattr(engine, "decode", lambda clean, *rule: decode(clean[:, 1:], *rule))
     with pytest.raises(ValueError, match=r"decoded \+ losses must equal generated"):
         run(_scenario("DR8", 10, 50, 3_600_000, seed=1))
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lorae_sim.hopping import SEED_COUNT, hop_hash_array, slot_matrix
+from lorae_sim.hopping import SEED_COUNT, hop_hash_array, slot_table
 from lorae_sim.params import EU868, US915, regional_plan
 
 import oracles
@@ -49,7 +49,7 @@ def test_hash_matches_independent_reimplementation():
 # --- sequences ---------------------------------------------------------------
 
 def _sequence(seed: int, n_hops: int, cpg: int) -> list[int]:
-    return slot_matrix(np.array([seed]), n_hops, cpg)[0].tolist()
+    return slot_table(n_hops, cpg)[:, seed].tolist()
 
 
 def test_sequence_matches_frozen_goldens():
@@ -62,29 +62,32 @@ def test_sequence_matches_frozen_goldens():
 
 def test_sequence_matches_oracle_and_matrix():
     for cpg in (35, 86, 60):
-        matrix = slot_matrix(np.arange(SEED_COUNT), 40, cpg)
+        table = slot_table(40, cpg)
+        assert table.shape == (40, SEED_COUNT)
+        assert table.flags.c_contiguous
+        assert table.dtype == np.uint8
         for seed in (0, 3, 100, 511):
-            assert matrix[seed].tolist() == oracles.hop_slots(seed, 40, cpg)
+            assert table[:, seed].tolist() == oracles.hop_slots(seed, 40, cpg)
 
 
 def test_no_consecutive_repeats_anywhere():
     for cpg in (35, 86, 60):
-        matrix = slot_matrix(np.arange(SEED_COUNT), 64, cpg)
-        assert (matrix[:, 1:] != matrix[:, :-1]).all()
+        table = slot_table(64, cpg)
+        assert (table[1:] != table[:-1]).all()   # each column against its previous hop
 
 
 def test_all_512_sequences_distinct():
     for cpg in (35, 86, 60):
-        matrix = slot_matrix(np.arange(SEED_COUNT), 16, cpg)
-        assert len({tuple(row) for row in matrix}) == SEED_COUNT
+        table = slot_table(16, cpg)
+        assert len({tuple(column) for column in table.T}) == SEED_COUNT
 
 
 def test_sequence_argument_validation():
     with pytest.raises(ValueError):
-        slot_matrix(np.array([1]), 8, 1)
+        slot_table(8, 1)
     # One hop never hops, so one carrier (LoRa's whole channel) is enough.
-    assert (slot_matrix(np.arange(SEED_COUNT), 1, 1) == 0).all()
-    assert slot_matrix(np.array([1]), 0, 35).shape == (1, 0)
+    assert (slot_table(1, 1) == 0).all()
+    assert slot_table(0, 35).shape == (0, SEED_COUNT)
 
 
 # --- uniformity gates -------------------------------------------------------
@@ -103,7 +106,7 @@ def test_slot_usage_uniform_within_5_percent(cpg, n_hops):
     hops = np.arange(n_hops, dtype=np.uint32)[:, None]
     raw = (hop_hash_array(seeds[None, :], hops) % np.uint32(cpg)).astype(np.int64)
     assert _per_slot_deviation(raw, cpg) <= 0.05
-    adjusted = slot_matrix(seeds, n_hops, cpg)
+    adjusted = slot_table(n_hops, cpg)
     assert _per_slot_deviation(adjusted, cpg) <= 0.05
 
 
@@ -112,9 +115,10 @@ def test_slot_usage_uniform_within_5_percent(cpg, n_hops):
 def test_consecutive_hop_separation_meets_regulatory_minimum():
     for region, dr, min_hop in [(EU868, "DR8", 3_900), (US915, "DR5", 25_400)]:
         plan = regional_plan(region, dr)
-        matrix = slot_matrix(np.arange(SEED_COUNT), 64, plan.carriers_per_grid)
-        freqs = matrix * min_hop   # same grid throughout a sequence
-        gaps = np.abs(np.diff(freqs, axis=1))
+        # Widened first: uint8 slots would wrap in np.diff and overflow times min_hop.
+        table = slot_table(64, plan.carriers_per_grid).astype(np.int64)
+        freqs = table * min_hop   # same grid throughout a sequence
+        gaps = np.abs(np.diff(freqs, axis=0))
         assert gaps.min() >= min_hop
 
 
