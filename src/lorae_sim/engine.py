@@ -361,31 +361,29 @@ def _run_lorae(start: np.ndarray, seeds: np.ndarray, grids: np.ndarray, template
     Grids share no carrier, so a packet can only collide with packets of
     its own grid.  The hop slots of all ``SEED_COUNT`` seeds come from one
     ``slot_table`` call, a (hops, seeds) table in a narrow unsigned dtype;
-    emission times take the narrowest one that holds the last emission's
-    end.  The packets are split by grid with a stable partition, which is
-    the identity when every packet is on grid 0 (so always for LoRa: one
-    grid of one carrier, one hop).  Each non-empty grid gathers its
-    hop-major (hops, packets) keys from the table, makes one collision call
-    and is decoded on its own.  The outcome counts add up to those of the
-    whole scenario.
+    emission times, and the grid numbers the packets are stably sorted by,
+    take the narrowest dtype that holds their largest value.  The sort is
+    skipped when every packet is on grid 0 (so always for LoRa: one grid of
+    one carrier, one hop).  Each non-empty grid gathers its hop-major (hops,
+    packets) keys from the table, makes one collision call and is decoded
+    on its own.  The outcome counts add up to those of the whole scenario.
 
-    Raises ``ValueError`` for a hopping seed outside [0, SEED_COUNT).
+    The gather raises ``IndexError`` for a seed outside [0, SEED_COUNT).
     """
     offsets, durs, n_head, threshold = template
-    if seeds.max(initial=0) >= SEED_COUNT:
-        raise ValueError(f"hopping seed {seeds[seeds >= SEED_COUNT][0]} outside [0, {SEED_COUNT})")
     table = slot_table(len(durs), carriers_per_grid)
     time_dtype = np.min_scalar_type(int(start.max(initial=0)) + int(offsets[-1] + durs[-1]))
     offsets, ends = offsets.astype(time_dtype), (offsets + durs).astype(time_dtype)
-    if grids.max(initial=0) == 0:
+    top = int(grids.max(initial=0))
+    if top == 0:
         parts = [(start, seeds)]
     else:
-        order = np.argsort(grids.astype(np.uint16), kind="stable")   # 16-bit keys: radix sort
+        order = np.argsort(grids.astype(np.min_scalar_type(top)), kind="stable")
         parts = ((start[m], seeds[m]) for m in np.split(order, np.cumsum(np.bincount(grids))[:-1])
                  if m.size)
     outcomes = dict.fromkeys((Outcome.DECODED, Outcome.LOST_HEADER, Outcome.LOST_PAYLOAD), 0)
     for grid_start, grid_seeds in parts:
-        key = table.take(grid_seeds, axis=1, mode="clip")   # seeds are checked above
+        key = table.take(grid_seeds, axis=1)
         grid_start = grid_start.astype(time_dtype)
         collided = _collide_arrays(key.ravel(), np.add.outer(offsets, grid_start).ravel(),
                                    np.add.outer(ends, grid_start).ravel())

@@ -13,7 +13,8 @@ from lorae_sim import engine
 from lorae_sim.engine import (Outcome, Scenario, ScenarioConfigError, _collide_arrays,
                               _packet_template, decode, run)
 from lorae_sim.experiments import RESULT_COLUMNS, build_scenario, csv_row
-from lorae_sim.params import EU868, US915, dr_profile, max_packet_rate, regional_plan
+from lorae_sim.params import (EU868, US915, RegionalPlan, dr_profile, max_packet_rate,
+                               regional_plan)
 from lorae_sim.traffic import DeviceConfig, device_streams
 
 import oracles
@@ -192,7 +193,7 @@ def test_slot_table_keys_equal_oracle_for_every_seed(monkeypatch, region, dr):
 @pytest.mark.parametrize("seed", [engine.SEED_COUNT, 2 ** 16])
 def test_seed_outside_the_hopping_domain_raises(monkeypatch, seed):
     scenario = _scenario("DR8", 10, 1, 3_600_000, seed=0)
-    with pytest.raises(ValueError, match=re.escape(f"hopping seed {seed} outside [0, 512)")):
+    with pytest.raises(IndexError, match=f"index {seed} is out of bounds"):
         _run_drawn(monkeypatch, scenario, [0, 10], seeds=[7, seed], grids=[0, 1])
 
 
@@ -475,6 +476,23 @@ def test_lopsided_grids_equal_reference(monkeypatch, region, dr, grids):
     scenario = _scenario(dr, 10, 1, 3_600_000, seed=0, region=region)
     result, calls = _run_drawn(monkeypatch, scenario, starts, seeds, grids)
     assert len(calls) == len(set(grids))
+    assert result == oracles.reference_run(scenario, [(starts, seeds, grids)])
+    assert 0 < result.decoded_packets < result.generated_packets
+
+
+def test_grids_beyond_16_bits_stay_apart(monkeypatch):
+    # 70 000 grids of 2 carriers: grids 5 and 5 + 2**16 agree in their low 16 bits.
+    plan = RegionalPlan(duty_cycle=1.0, ocw_bandwidth_hz=200_000, obw_bandwidth_hz=1,
+                        min_hop_separation_hz=70_000, num_ocw_channels=1)
+    assert (plan.num_grids, plan.carriers_per_grid) == (70_000, 2)
+    device = DeviceConfig(0, dr_profile(EU868, "DR8"), 10, plan)
+    scenario = Scenario(devices=(device,), horizon_ms=3_600_000, master_seed=0)
+    rng = np.random.default_rng(9)
+    starts = rng.integers(0, 40_000, 200).tolist()
+    seeds = rng.integers(0, engine.SEED_COUNT, 200).tolist()
+    grids = [5, 5 + 2 ** 16] * 100
+    result, calls = _run_drawn(monkeypatch, scenario, starts, seeds, grids)
+    assert len(calls) == 2
     assert result == oracles.reference_run(scenario, [(starts, seeds, grids)])
     assert 0 < result.decoded_packets < result.generated_packets
 

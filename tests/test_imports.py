@@ -1,11 +1,15 @@
 """Every module of the package and of its tests uses what it imports,
 every name the package defines is read by the package or its benchmark (a
 name that only tests read fails), and the benchmark wraps no package name
-that is gone beyond the five it is known to miss."""
+that is gone beyond the five it is known to miss.  A single test file
+runs from an uninstalled checkout."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,3 +151,12 @@ def test_benchmark_wraps_only_names_the_package_defines(monkeypatch):
     layers.instrument(tracer)
     assert tracer.restore()
     assert set(tracer.missing) == MISSING_WRAPPERS
+
+
+def test_one_test_file_runs_from_an_uninstalled_checkout():
+    # pytest's own ``pythonpath`` setting must put ``src`` and ``tests`` on the path.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "tests/test_params.py"], cwd=ROOT, env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
