@@ -20,11 +20,11 @@ and each grid's emissions are laid out as one hop-major (hops x packets)
 block, collided and decoded on their own.  A seed has only ``SEED_COUNT``
 values, so a run takes every seed's hop slots once, as one narrow (hops x
 seeds) ``slot_table``, and a grid gathers its packets' slot columns from
-it.  Slot keys, emission times and, inside the collision kernel, emission
-lengths are held in the narrowest dtypes that hold them.  Peak memory is
-then the per-packet draws plus the busiest grid's emissions.  Before
-drawing, ``run`` refuses a scenario whose expected packets would not fit in
-physical memory (``check_memory``).
+it.  An emission is (carrier key, start, length) from the template to the
+collision kernel, each in the narrowest dtype that holds it.  Peak memory
+is then the per-packet draws plus the busiest grid's emissions.  Before
+drawing, ``run`` refuses a scenario whose expected packets would not fit
+in physical memory (``check_memory``).
 
 Draws: each device's stream gives its arrival schedule, then its packets'
 hopping seeds, then their grids.  The streams of a block of devices are
@@ -234,31 +234,30 @@ def _multiply_shift(halves: np.ndarray, high: int) -> np.ndarray:
     return rejected
 
 
-def _collide_arrays(key: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Exact all-pairs overlap flags of (carrier key, start, end) emissions.
+def _collide_arrays(key: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Exact all-pairs overlap flags of (carrier key, start, length) emissions.
 
-    Keys and times are non-negative integers, of any integer dtypes.  Each
+    Keys, starts and lengths are non-negative integers of any integer
+    dtypes; emission i covers [start[i], start[i] + length[i]).  Each
     emission moves onto one number line at ``key * span + start`` with
-    ``span = max(end) + 1``, so emissions on different carriers never
-    overlap there and "same carrier and overlapping" becomes plain interval
-    overlap.  The emission index sits in the low bits of each line position,
-    so one in-place sort of the packed values gives the stable (key, start)
-    order.  In that order an emission overlaps an earlier one iff it starts
+    ``span = max(start) + max(length) + 1``, so emissions on different
+    carriers never overlap there and "same carrier and overlapping" becomes
+    plain interval overlap.  The emission index sits in the low bits of each
+    line position, so one in-place sort of the packed values gives the
+    stable (key, start) order; each line end is then its start plus its
+    gathered length.  An emission overlaps an earlier one iff it starts
     before the furthest end seen so far, and a later one iff the next start
-    falls before its end.  Lengths ``end - start`` travel through the sort's
-    gather in the narrowest dtype that holds them.
+    falls before its end.
 
     Raises ``ValueError`` when the packed values would not fit in int64.
     """
     n = key.size
     if n == 0:
         return np.zeros(0, dtype=bool)
-    span = int(end.max()) + 1
+    span = int(start.max()) + int(length.max()) + 1
     bits = n.bit_length()
     if (int(key.max()) + 1) * span << bits >= 2 ** 63:
         raise ValueError(f"{n} emissions over a {span} ms span do not pack into int64")
-    line = np.subtract(end, start, dtype=np.int64)   # lengths, then line ends
-    length = line.astype(np.min_scalar_type(int(line.max())))
     order = np.arange(n, dtype=np.int64)
     packed = key.astype(np.int64)
     packed *= span
@@ -268,7 +267,7 @@ def _collide_arrays(key: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.n
     packed.sort()
     np.bitwise_and(packed, (1 << bits) - 1, out=order)
     packed >>= bits                          # line starts, ascending
-    np.add(packed, length[order], out=line)
+    line = np.add(packed, length[order], dtype=np.int64)   # line ends
     hit = np.empty(n, dtype=bool)
     np.less(packed[1:], line[:-1], out=hit[:-1])                  # overlaps the next emission
     hit[-1] = False
@@ -361,19 +360,20 @@ def _run_lorae(start: np.ndarray, seeds: np.ndarray, grids: np.ndarray, template
     Grids share no carrier, so a packet can only collide with packets of
     its own grid.  The hop slots of all ``SEED_COUNT`` seeds come from one
     ``slot_table`` call, a (hops, seeds) table in a narrow unsigned dtype;
-    emission times, and the grid numbers the packets are stably sorted by,
-    take the narrowest dtype that holds their largest value.  The sort is
-    skipped when every packet is on grid 0 (so always for LoRa: one grid of
-    one carrier, one hop).  Each non-empty grid gathers its hop-major (hops,
-    packets) keys from the table, makes one collision call and is decoded
-    on its own.  The outcome counts add up to those of the whole scenario.
+    emission starts and lengths, and the grid numbers the packets are
+    stably sorted by, take the narrowest dtype that holds their largest
+    value.  The sort is skipped when every packet is on grid 0 (so always
+    for LoRa: one grid of one carrier, one hop).  Each non-empty grid
+    gathers its hop-major (hops, packets) keys from the table, makes one
+    collision call with its starts and template lengths and is decoded on
+    its own.  The outcome counts add up to those of the whole scenario.
 
     The gather raises ``IndexError`` for a seed outside [0, SEED_COUNT).
     """
     offsets, durs, n_head, threshold = template
     table = slot_table(len(durs), carriers_per_grid)
-    time_dtype = np.min_scalar_type(int(start.max(initial=0)) + int(offsets[-1] + durs[-1]))
-    offsets, ends = offsets.astype(time_dtype), (offsets + durs).astype(time_dtype)
+    time_dtype = np.min_scalar_type(int(start.max(initial=0)) + int(offsets[-1]))
+    offsets, durs = offsets.astype(time_dtype), durs.astype(np.min_scalar_type(int(durs.max())))
     top = int(grids.max(initial=0))
     if top == 0:
         parts = [(start, seeds)]
@@ -386,7 +386,7 @@ def _run_lorae(start: np.ndarray, seeds: np.ndarray, grids: np.ndarray, template
         key = table.take(grid_seeds, axis=1)
         grid_start = grid_start.astype(time_dtype)
         collided = _collide_arrays(key.ravel(), np.add.outer(offsets, grid_start).ravel(),
-                                   np.add.outer(ends, grid_start).ravel())
+                                   np.repeat(durs, grid_start.size))
         for outcome, count in decode(~collided.reshape(key.shape), n_head, threshold).items():
             outcomes[outcome] += count
     return outcomes

@@ -33,12 +33,12 @@ def _scenario(dr: str, payload: int, devices: int, horizon_ms: int,
 def _run_drawn(monkeypatch, scenario: Scenario, starts: list[int], seeds: list[int],
                grids: list[int]):
     """Run ``scenario`` on hand-set packet draws; return the result and one
-    (key, start, end) triple per call of the collision sweep."""
+    (key, start, length) triple per call of the collision sweep."""
     laid_out = []
 
-    def collide(key, start, end):
-        laid_out.append((key, start, end))
-        return _collide_arrays(key, start, end)
+    def collide(key, start, length):
+        laid_out.append((key, start, length))
+        return _collide_arrays(key, start, length)
 
     monkeypatch.setattr(engine, "_draw_packets", lambda _: (
         np.array(starts, dtype=np.int64), np.array(seeds, dtype=np.uint32),
@@ -169,12 +169,12 @@ def test_emission_slots_follow_hopping_sequence(monkeypatch):
     _, calls = _run_drawn(monkeypatch, scenario, [1000, 5000],
                           seeds=[211, 17], grids=[4, 0])
     offsets, durs, _, _ = _packet_template(dr_profile(EU868, "DR8"), 10)
-    (key0, start0, end0), (key4, start4, end4) = calls
+    (key0, start0, length0), (key4, start4, length4) = calls
     assert key0.tolist() == oracles.hop_slots(17, 16, 35)
     assert key4.tolist() == oracles.hop_slots(211, 16, 35)
     assert start0.tolist() == (5000 + offsets).tolist()
     assert start4.tolist() == (1000 + offsets).tolist()
-    assert (end0 - start0).tolist() == (end4 - start4).tolist() == durs.tolist()
+    assert length0.tolist() == length4.tolist() == durs.tolist()
 
 
 @pytest.mark.parametrize("region, dr", [(EU868, "DR8"), (EU868, "DR9"), (US915, "DR5")])
@@ -198,11 +198,11 @@ def test_seed_outside_the_hopping_domain_raises(monkeypatch, seed):
 
 
 def test_lora_emission_is_whole_channel(monkeypatch):
-    _, [(key, start, end)] = _run_drawn(monkeypatch, _scenario("DR0", 10, 1, 3_600_000, 0),
-                                        [50, 3000], seeds=[0, 0], grids=[0, 0])
+    _, [(key, start, length)] = _run_drawn(monkeypatch, _scenario("DR0", 10, 1, 3_600_000, 0),
+                                           [50, 3000], seeds=[0, 0], grids=[0, 0])
     assert key.tolist() == [0, 0]
     assert start.tolist() == [50, 3000]
-    assert end.tolist() == [50 + 992, 3000 + 992]
+    assert length.tolist() == [992, 992]
     assert _packet_template(dr_profile(EU868, "DR0"), 10)[1].tolist() == [992]
 
 
@@ -213,7 +213,7 @@ def _flags(rows: list[tuple[tuple[int, int], int, int]]) -> list[bool]:
     key = np.array([grid * 35 + slot for (grid, slot), _, _ in rows], dtype=np.int64)
     start = np.array([r[1] for r in rows], dtype=np.int64)
     end = np.array([r[2] for r in rows], dtype=np.int64)
-    return _collide_arrays(key, start, end).tolist()
+    return _collide_arrays(key, start, end - start).tolist()
 
 
 def test_overlap_on_same_carrier_collides():
@@ -271,7 +271,7 @@ def test_identical_emissions_all_collide():
     key = np.array([4, 4, 4, 7, 4, 7, 9], dtype=np.int64)
     start = np.array([10, 10, 10, 30, 10, 30, 30], dtype=np.int64)
     end = start + 5
-    flags = _collide_arrays(key, start, end).tolist()
+    flags = _collide_arrays(key, start, end - start).tolist()
     assert flags == oracles.brute_force_collisions(_rows(key, start, end))
     assert flags == [True, True, True, True, True, True, False]
 
@@ -285,7 +285,7 @@ def test_unsorted_input_flags_stay_in_input_order():
     key = np.array([2, 0, 2, 1, 0, 2], dtype=np.int64)
     start = np.array([90, 40, 0, 5, 0, 60], dtype=np.int64)
     end = np.array([120, 45, 70, 9, 41, 95], dtype=np.int64)
-    flags = _collide_arrays(key, start, end).tolist()
+    flags = _collide_arrays(key, start, end - start).tolist()
     assert flags == oracles.brute_force_collisions(_rows(key, start, end))
     assert flags == [True, True, True, False, True, True]
 
@@ -298,7 +298,7 @@ def test_carrier_keys_in_the_thousands():
     start = rng.integers(0, 300, 400)
     end = start + rng.integers(1, 60, 400)
     expected = oracles.brute_force_collisions(_rows(key, start, end))
-    assert _collide_arrays(key, start, end).tolist() == expected
+    assert _collide_arrays(key, start, end - start).tolist() == expected
     assert any(expected) and not all(expected)
 
 
@@ -311,7 +311,7 @@ def test_uint8_keys_and_int32_times_equal_brute_force(longest):
     length[0] = longest
     end = start + length
     expected = oracles.brute_force_collisions(_rows(key, start, end))
-    assert _collide_arrays(key, start, end).tolist() == expected
+    assert _collide_arrays(key, start, end - start).tolist() == expected
     assert any(expected) and not all(expected)
 
 
@@ -321,8 +321,38 @@ def test_large_random_case_equals_sweep_oracle():
     start = rng.integers(0, 200_000, 5000)
     end = start + rng.integers(1, 400, 5000)
     expected = oracles.sweep_collisions(_rows(key, start, end))
-    assert _collide_arrays(key, start, end).tolist() == expected
+    assert _collide_arrays(key, start, end - start).tolist() == expected
     assert 0 < sum(expected) < len(expected)
+
+
+def test_span_covers_a_long_emission_that_starts_early():
+    # The 600 ms emission starts before the last start (900), so the packing
+    # span, max(start) + max(length) + 1 = 1501, exceeds max(end) + 1 = 931;
+    # a span of max(start) + 1 would put carrier 1 inside [900, 930).
+    key = np.array([0, 0, 1, 0, 1], dtype=np.int64)
+    start = np.array([0, 150, 10, 900, 15], dtype=np.int64)
+    end = np.array([600, 160, 15, 930, 17], dtype=np.int64)
+    flags = _collide_arrays(key, start, end - start).tolist()
+    assert flags == oracles.brute_force_collisions(_rows(key, start, end))
+    assert flags == [True, True, False, False, False]
+
+
+_SPAN_EDGE = -(-2 ** 63 // (501 << 2)) - 1   # least top key that a 501 ms span overflows
+
+
+@pytest.mark.parametrize("top, refused", [(_SPAN_EDGE - 1, False), (_SPAN_EDGE, True)])
+def test_packing_refusal_follows_the_start_plus_length_span(top, refused):
+    # Two emissions (2 index bits), span 300 + 200 + 1 = 501 although
+    # max(end) = 320: the kernel refuses exactly when (top + 1) * 501 << 2
+    # reaches 2**63.
+    assert ((top + 1) * 501 << 2 >= 2 ** 63) == refused
+    key = np.array([0, top], dtype=np.int64)
+    start, end = np.array([0, 300]), np.array([200, 320])
+    if refused:
+        with pytest.raises(ValueError, match="2 emissions over a 501 ms span"):
+            _collide_arrays(key, start, end - start)
+    else:
+        assert _collide_arrays(key, start, end - start).tolist() == [False, False]
 
 
 def test_packing_overflow_raises():
@@ -506,9 +536,9 @@ def test_each_collision_call_holds_one_grid(monkeypatch):
     per_grid = np.bincount(grids, minlength=scenario.plan.num_grids)
     calls = []
 
-    def collide(key, start, end):
+    def collide(key, start, length):
         calls.append(start)
-        return _collide_arrays(key, start, end)
+        return _collide_arrays(key, start, length)
 
     monkeypatch.setattr(engine, "_collide_arrays", collide)
     result = run(scenario)
@@ -640,11 +670,11 @@ def test_memory_guard_compares_bytes_with_physical_memory(monkeypatch):
 # Peak RSS per packet, as ru_maxrss after run minus after build_scenario in a
 # fresh process, 10 B, seed 1: the least and the most over three runs of each.
 @pytest.mark.parametrize("region, dr, measured", [
-    (EU868, "DR8", (110.8, 126.4)),   # 20 000 and 40 000 devices, 1 h
-    (EU868, "DR9", (73.7, 83.6)),     # 20 000 and 40 000 devices, 1 h
-    (EU868, "DR0", (56.2, 71.6)),     # 100 and 400 devices, 100 h
-    (EU868, "DR5", (52.3, 59.6)),     # 100 and 200 devices for 10 h, 1 000 for 1 h
-    (US915, "DR5", (40.4, 45.4)),     # 400 and 2 000 devices, 1 h
+    (EU868, "DR8", (114.3, 122.4)),   # 20 000 and 40 000 devices, 1 h
+    (EU868, "DR9", (75.6, 80.4)),     # 20 000 and 40 000 devices, 1 h
+    (EU868, "DR0", (52.9, 67.4)),     # 100 and 400 devices, 100 h
+    (EU868, "DR5", (49.2, 54.8)),     # 100 and 200 devices for 10 h, 1 000 for 1 h
+    (US915, "DR5", (42.3, 43.7)),     # 400 and 2 000 devices, 1 h
 ])
 def test_bytes_per_packet_bounds_the_measured_peaks(region, dr, measured):
     per_packet = engine.bytes_per_packet(_scenario(dr, 10, 1, 3_600_000, seed=1, region=region))
