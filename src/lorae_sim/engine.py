@@ -26,12 +26,8 @@ is then the per-packet draws plus the busiest grid's emissions.  Before
 drawing, ``run`` refuses a scenario whose expected packets would not fit
 in physical memory (``check_memory``).
 
-Draws: each device's stream gives its arrival schedule, then its packets'
-hopping seeds, then their grids.  The streams of a block of devices are
-seeded together, from one vectorised pass of SeedSequence's hash over the
-block's indices.  The seeds and grids of a device come from one call for
-raw PCG64 words, reduced for a whole block of devices at once to exactly
-the values ``Generator.integers`` would draw.
+Draws: each packet's start, hopping seed and grid come from its device's
+stream in ``traffic``, a block of devices at a time.
 """
 
 from __future__ import annotations
@@ -44,15 +40,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hopping import SEED_COUNT, slot_table
 from .params import LORA, LORA_E, DataRateProfile, RegionalPlan, max_packet_rate
-from .params import HEADER_MS, lorae_fragment_durations, lora_time_on_air
-from .traffic import DeviceConfig, device_streams, generate_schedule
+from .params import HEADER_MS, SEED_COUNT, lorae_fragment_durations, lora_time_on_air
+from .traffic import DeviceConfig, device_streams, generate_schedule, hop_draws
 
 _DRAW_DEVICES = 1024                 # devices per block of streams, schedules and hop draws
 _EMISSION_BYTES = 64                 # peak RSS per emission of the grid being collided
 _HOP_DRAW_BYTES = 28                 # and per packet: its draws and their grid split
 _Template = tuple[np.ndarray, np.ndarray, int, int]   # offsets, durations, n_head, threshold
+_HOP_WORD_STRIDE = 0x10000
+
+# Multiply constants for the xor-multiply avalanche mix of ``hop_hash_array``,
+# fixed by an offline search for per-slot uniformity of the reduced values
+# (every slot within 5% of the mean over all 512 seeds at 64 and 1024 hops,
+# for grid sizes 35, 60 and 86).
+_MIX_M1 = 0x45550FBF
+_MIX_M2 = 0x6BF49967
 
 
 class ScenarioConfigError(ValueError):
@@ -155,7 +158,7 @@ def _draw_packets(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     Each device draws from its own stream: its arrival schedule first, then
     (LoRa-E only) one block of hopping seeds, then one block of grids, as
-    ``Generator.integers`` would draw them (see ``_hop_draws``).  Streams,
+    ``Generator.integers`` would draw them (see ``traffic.hop_draws``).  Streams,
     schedules and hop draws are made ``_DRAW_DEVICES`` devices at a time,
     which keeps the draw buffers small.  A LoRa packet draws neither: it
     gets seed 0 and grid 0, one read-only zero-stride view for both.
@@ -168,7 +171,7 @@ def _draw_packets(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarra
         schedule = generate_schedule(scenario.devices[first], scenario.horizon_ms, rngs)
         starts.append(schedule.start_times)
         if lorae:
-            block_seeds, block_grids = _hop_draws(rngs, schedule.counts, scenario.plan.num_grids)
+            block_seeds, block_grids = hop_draws(rngs, schedule.counts, scenario.plan.num_grids)
             seeds.append(block_seeds)
             grids.append(block_grids)
     start = np.concatenate(starts)
@@ -178,60 +181,41 @@ def _draw_packets(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return start, np.concatenate(seeds), np.concatenate(grids)
 
 
-def _hop_draws(rngs: list[np.random.Generator], counts: np.ndarray, num_grids: int
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Per generator and its count ``c``: ``c`` seeds, then ``c`` grids.
+def hop_hash_array(seeds: np.ndarray, hop_indices: np.ndarray) -> np.ndarray:
+    """32-bit hash of (seed, hop index) over broadcastable uint32 arrays.
 
-    Equal to ``rng.integers(0, SEED_COUNT, c)`` then ``rng.integers(0,
-    num_grids, c)`` (uint32) per generator, concatenated in order.  numpy
-    draws each value in [0, n) from the next 32-bit half ``h`` of a PCG64
-    word, low half first, by Lemire's multiply-shift ``(h * n) >> 32``, and
-    draws again when ``(h * n) mod 2**32 < 2**32 mod n``.  Without a redraw
-    a device's 2c values take the 2c halves of its next c words in order, so
-    each device makes one ``random_raw(c)`` call and the block is reduced in
-    one pass.  A device with any rejected half is rewound by its c words and
-    draws with ``integers`` itself; with 8, 52 or 512 values that happens
-    to at most 48 draws in 2**32.
+    Uniform after modulo reduction to a grid size.
     """
-    if not 2 <= num_grids <= 2 ** 32:
-        raise ValueError(f"draws need 2 to 2**32 values, got {num_grids}")
-    seeds, grids = _raw_halves(rngs, counts)   # frees the raw words before widening
-    seed_redraws = _multiply_shift(seeds, SEED_COUNT)
-    grid_redraws = _multiply_shift(grids, num_grids)
-    ends = np.cumsum(counts)
-    redrawn = np.searchsorted(ends, np.concatenate((seed_redraws, grid_redraws)), side="right")
-    for device in set(redrawn.tolist()):
-        rng, end, count = rngs[device], int(ends[device]), int(counts[device])
-        rng.bit_generator.advance(2 ** 128 - count)
-        seeds[end - count:end] = rng.integers(0, SEED_COUNT, size=count, dtype=np.uint32)
-        grids[end - count:end] = rng.integers(0, num_grids, size=count, dtype=np.uint32)
-    return seeds, grids
+    x = (seeds.astype(np.uint32) + hop_indices.astype(np.uint32) * np.uint32(_HOP_WORD_STRIDE))
+    x ^= x >> np.uint32(16)
+    x *= np.uint32(_MIX_M1)
+    x ^= x >> np.uint32(13)
+    x *= np.uint32(_MIX_M2)
+    x ^= x >> np.uint32(16)
+    return x
 
 
-def _raw_halves(rngs: list[np.random.Generator], counts: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """The 32-bit halves of each generator's next ``c`` raw words, low half
-    first: every generator's first c halves, then every generator's last c."""
-    words = np.empty(int(counts.sum()), dtype="<u8")
-    end = 0
-    for rng, count in zip(rngs, counts.tolist()):
-        words[end:end + count] = rng.bit_generator.random_raw(count)
-        end += count
-    halves = words.view("<u4")
-    first = np.repeat(np.tile([True, False], len(counts)), np.repeat(counts, 2))
-    head = halves[first]
-    return head, halves[np.logical_not(first, out=first)]
+def slot_table(n_hops: int, carriers_per_grid: int) -> np.ndarray:
+    """Hop slots of every seed, a C-order ``(n_hops, SEED_COUNT)`` table.
 
-
-def _multiply_shift(halves: np.ndarray, high: int) -> np.ndarray:
-    """Turn uint32 ``halves`` in place into ``(h * high) >> 32``; return the
-    indices of the halves Lemire's method rejects."""
-    wide = halves.astype(np.uint64)
-    wide *= high
-    rejected = np.flatnonzero(wide.astype(np.uint32) < 2 ** 32 % high)
-    wide >>= 32
-    halves[:] = wide
-    return rejected
+    Column ``s`` is the hop sequence of seed ``s``: hop ``k`` is the hash
+    of (s, k) modulo the grid size, and a slot equal to its (already
+    bumped) predecessor is bumped by one, so the radio never dwells on a
+    sub-carrier and successive hops lie at least one grid stride (the
+    regulatory minimum separation) apart.  The dtype is the narrowest that
+    holds ``carriers_per_grid``, so a bump never overflows before it wraps.
+    A sequence of at most one hop never hops, so one slot is enough for it.
+    """
+    if carriers_per_grid < (2 if n_hops > 1 else 1):
+        raise ValueError(f"{n_hops} hops need more than {carriers_per_grid} slots per grid")
+    seeds = np.arange(SEED_COUNT, dtype=np.uint32)
+    hops = np.arange(n_hops, dtype=np.uint32)
+    slots = (hop_hash_array(seeds[None, :], hops[:, None]) % np.uint32(carriers_per_grid)
+             ).astype(np.min_scalar_type(carriers_per_grid))
+    for prev, row in zip(slots, slots[1:]):
+        row += row == prev
+        row[row == carriers_per_grid] = 0
+    return slots
 
 
 def _collide_arrays(key: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:

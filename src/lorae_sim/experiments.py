@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import engine, hopping, params, traffic
+from . import engine, params, traffic
 from .engine import Outcome, Scenario, ScenarioResult, run
 from .params import LORA, LORA_DR_COUNT_EU, LORA_E, dr_profile, regional_plan
 from .traffic import DeviceConfig
@@ -123,7 +123,7 @@ def _usable_cpus() -> int:
 def _point_namespace() -> dict[tuple[str, str], object]:
     """Every function and class a sweep point can look up, by module and name."""
     return {(module.__name__, name): value
-            for module in (engine, hopping, params, traffic, sys.modules[__name__])
+            for module in (engine, params, traffic, sys.modules[__name__])
             for name, value in vars(module).items() if callable(value)}
 
 

@@ -27,6 +27,7 @@ LORA_E = "LORA_E"
 OBW_HZ = 488                 # occupied bandwidth of one LR-FHSS sub-carrier
 HEADER_MS = 233              # one PHY header replica (114 bits at 488 bps)
 FRAGMENT_MS = 50             # nominal duration of one full payload hop
+SEED_COUNT = 512             # 9-bit hopping seeds: 512 hop sequences per grid size
 CODED_BITS_PER_FRAGMENT = 24  # coded bits carried by one full hop
 PAYLOAD_CRC_BYTES = 2        # CRC appended to the MAC payload before coding
 CONV_TAIL_BITS = 6           # convolutional-encoder flush bits

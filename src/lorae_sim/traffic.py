@@ -1,4 +1,4 @@
-"""Poisson packet arrival schedules, drawn for a block of devices at once.
+"""Poisson packet arrival schedules and hop draws, for a block of devices at once.
 
 Every device transmits at the maximum average rate its duty cycle allows,
 so the mean inter-arrival time is ``time_on_air / duty_cycle`` (100 x ToA
@@ -19,6 +19,11 @@ drawn only while every arrival so far fell inside the horizon.
 round fills one row per still-active device and turns all rows into
 arrival times with one running sum, so the Python work per device is one
 fill call per round.
+
+A LoRa-E device then takes its packets' hopping seeds and grids from the
+same stream.  ``hop_draws`` gets them from one ``random_raw`` call per
+device, reduced for the whole block at once to exactly the values
+``Generator.integers`` would draw.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DataRateProfile, RegionalPlan, check_payload, time_on_air
+from .params import SEED_COUNT, DataRateProfile, RegionalPlan, check_payload, time_on_air
 
 _BLOCK = 256   # exponential draws are taken in fixed-size blocks
 
@@ -213,3 +218,59 @@ def generate_schedule(cfg: DeviceConfig, horizon_ms: int,
         start_times[at[inside]] = times[inside]
     start_times.flags.writeable = False
     return ArrivalSchedule(start_times, counts)
+
+
+def hop_draws(rngs: list[np.random.Generator], counts: np.ndarray, num_grids: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Per generator and its count ``c``: ``c`` seeds, then ``c`` grids.
+
+    Equal to ``rng.integers(0, SEED_COUNT, c)`` then ``rng.integers(0,
+    num_grids, c)`` (uint32) per generator, concatenated in order.  numpy
+    draws each value in [0, n) from the next 32-bit half ``h`` of a PCG64
+    word, low half first, by Lemire's multiply-shift ``(h * n) >> 32``, and
+    draws again when ``(h * n) mod 2**32 < 2**32 mod n``.  Without a redraw
+    a device's 2c values take the 2c halves of its next c words in order, so
+    each device makes one ``random_raw(c)`` call and the block is reduced in
+    one pass.  A device with any rejected half is rewound by its c words and
+    draws with ``integers`` itself; with 8, 52 or 512 values that happens
+    to at most 48 draws in 2**32.
+    """
+    if not 2 <= num_grids <= 2 ** 32:
+        raise ValueError(f"draws need 2 to 2**32 values, got {num_grids}")
+    seeds, grids = _raw_halves(rngs, counts)   # frees the raw words before widening
+    seed_redraws = _multiply_shift(seeds, SEED_COUNT)
+    grid_redraws = _multiply_shift(grids, num_grids)
+    ends = np.cumsum(counts)
+    redrawn = np.searchsorted(ends, np.concatenate((seed_redraws, grid_redraws)), side="right")
+    for device in set(redrawn.tolist()):
+        rng, end, count = rngs[device], int(ends[device]), int(counts[device])
+        rng.bit_generator.advance(2 ** 128 - count)
+        seeds[end - count:end] = rng.integers(0, SEED_COUNT, size=count, dtype=np.uint32)
+        grids[end - count:end] = rng.integers(0, num_grids, size=count, dtype=np.uint32)
+    return seeds, grids
+
+
+def _raw_halves(rngs: list[np.random.Generator], counts: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The 32-bit halves of each generator's next ``c`` raw words, low half
+    first: every generator's first c halves, then every generator's last c."""
+    words = np.empty(int(counts.sum()), dtype="<u8")
+    end = 0
+    for rng, count in zip(rngs, counts.tolist()):
+        words[end:end + count] = rng.bit_generator.random_raw(count)
+        end += count
+    halves = words.view("<u4")
+    first = np.repeat(np.tile([True, False], len(counts)), np.repeat(counts, 2))
+    head = halves[first]
+    return head, halves[np.logical_not(first, out=first)]
+
+
+def _multiply_shift(halves: np.ndarray, high: int) -> np.ndarray:
+    """Turn uint32 ``halves`` in place into ``(h * high) >> 32``; return the
+    indices of the halves Lemire's method rejects."""
+    wide = halves.astype(np.uint64)
+    wide *= high
+    rejected = np.flatnonzero(wide.astype(np.uint32) < 2 ** 32 % high)
+    wide >>= 32
+    halves[:] = wide
+    return rejected

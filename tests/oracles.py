@@ -14,8 +14,7 @@ from math import ceil, exp, prod
 import numpy as np
 
 from lorae_sim.engine import Outcome, Scenario, ScenarioResult, bytes_per_packet
-from lorae_sim.hopping import SEED_COUNT
-from lorae_sim.params import (LORA, RegionalPlan, dr_profile, lora_time_on_air,
+from lorae_sim.params import (LORA, SEED_COUNT, RegionalPlan, dr_profile, lora_time_on_air,
                               lorae_fragment_durations, max_packet_rate, regional_plan,
                               time_on_air)
 from lorae_sim.traffic import DeviceConfig

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lorae_sim import engine
+from lorae_sim import engine, traffic
 from lorae_sim.engine import (Outcome, Scenario, ScenarioConfigError, _collide_arrays,
                               _packet_template, decode, run)
 from lorae_sim.experiments import RESULT_COLUMNS, build_scenario, csv_row
@@ -81,10 +81,10 @@ def test_hop_draws_equal_integers(monkeypatch, high, count):
     # Odd counts carry a buffered half-word from the seeds into the grids;
     # at 3 << 30 a quarter of all draws are rejected and redrawn.
     counts = np.array([count, 0, count + 1, 2 * count, 3])
-    for num_seeds, num_grids in ((high, high), (engine.SEED_COUNT, high), (high, 8)):
-        monkeypatch.setattr(engine, "SEED_COUNT", num_seeds)
+    for num_seeds, num_grids in ((high, high), (traffic.SEED_COUNT, high), (high, 8)):
+        monkeypatch.setattr(traffic, "SEED_COUNT", num_seeds)
         rngs = device_streams(9, 0, len(counts))
-        seeds, grids = engine._hop_draws(rngs, counts, num_grids)
+        seeds, grids = traffic.hop_draws(rngs, counts, num_grids)
         assert seeds.dtype == grids.dtype == np.uint32
         rngs = device_streams(9, 0, len(counts))
         assert (seeds.tolist(), grids.tolist()) == _integers_draws(rngs, counts.tolist(),
@@ -95,13 +95,13 @@ def test_hop_draws_equal_integers(monkeypatch, high, count):
 def test_hop_draws_need_2_to_2_32_values(high):
     # integers(0, 1) consumes no words, so no raw word can stand for its draw.
     with pytest.raises(ValueError, match="2 to 2\\*\\*32 values"):
-        engine._hop_draws(device_streams(0, 0, 1), np.array([3]), high)
+        traffic.hop_draws(device_streams(0, 0, 1), np.array([3]), high)
 
 
 def test_draws_equal_oracle_when_draws_are_rejected(monkeypatch):
     # With 3 << 30 seeds a quarter of the seed draws are rejected, so nearly
     # every device takes the rewind-and-redraw path.
-    monkeypatch.setattr(engine, "SEED_COUNT", 3 << 30)
+    monkeypatch.setattr(traffic, "SEED_COUNT", 3 << 30)
     monkeypatch.setattr(oracles, "SEED_COUNT", 3 << 30)
     _assert_draws_equal_oracle(_scenario("DR8", 10, 40, 3_600_000, seed=2))
 

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lorae_sim.hopping import SEED_COUNT, hop_hash_array, slot_table
-from lorae_sim.params import EU868, US915, regional_plan
+from lorae_sim.engine import hop_hash_array, slot_table
+from lorae_sim.params import EU868, SEED_COUNT, US915, regional_plan
 
 import oracles
 from oracles import carrier_frequency

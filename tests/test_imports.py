@@ -1,8 +1,8 @@
 """Every module of the package and of its tests uses what it imports,
 every name the package defines is read by the package or its benchmark (a
 name that only tests read fails), and the benchmark wraps no package name
-that is gone beyond the five it is known to miss.  A single test file
-runs from an uninstalled checkout."""
+that is gone beyond the four it is known to miss, and counts one hash
+pass per run.  A single test file runs from an uninstalled checkout."""
 
 from __future__ import annotations
 
@@ -23,9 +23,8 @@ READERS = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.
 # per-layer metrics read 0 until the benchmark wraps their new homes.  LoRa's
 # layout runs in ``_run_lorae``, so ``_run_lora``'s share of
 # ``engine.layout_adjudicate_s`` is counted there.
-MISSING_WRAPPERS = {"lorae_sim.engine._lorae_slots", "lorae_sim.engine.hop_hash_array",
-                    "lorae_sim.engine.device_stream", "lorae_sim.experiments.time_on_air",
-                    "lorae_sim.engine._run_lora"}
+MISSING_WRAPPERS = {"lorae_sim.engine._lorae_slots", "lorae_sim.engine.device_stream",
+                    "lorae_sim.experiments.time_on_air", "lorae_sim.engine._run_lora"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -151,6 +150,22 @@ def test_benchmark_wraps_only_names_the_package_defines(monkeypatch):
     layers.instrument(tracer)
     assert tracer.restore()
     assert set(tracer.missing) == MISSING_WRAPPERS
+
+
+@pytest.mark.parametrize("dr, emissions", [("DR8", 16), ("DR0", 1)])
+def test_benchmark_counts_one_hash_pass_per_run(monkeypatch, dr, emissions):
+    # A run hashes its slot table once: each template emission of each seed.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import layers
+    from tracer import Tracer
+    from lorae_sim import engine, experiments, params
+    tracer = Tracer()
+    layers.instrument(tracer)
+    try:
+        engine.run(experiments.build_scenario("EU868", dr, 10, 2, 60_000, 0))
+    finally:
+        assert tracer.restore()
+    assert layers.metrics(tracer)["hopping.hashes"] == (emissions * params.SEED_COUNT, "count")
 
 
 def test_one_test_file_runs_from_an_uninstalled_checkout():
