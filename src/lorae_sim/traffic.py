@@ -8,10 +8,10 @@ duty-cycle-limited but no hard per-packet silent period is enforced.
 Each device owns an independent RNG stream spawned from the master seed by
 device index, so adding devices to a scenario never perturbs the schedules
 of existing ones.  ``device_streams`` builds the streams of a block of
-devices: one pass of numpy arithmetic over the block's indices computes
-the words ``SeedSequence(master, spawn_key=(index,))`` would seed each
-``PCG64`` with, so the streams are those of the contract without one
-``SeedSequence`` per device.
+devices: numpy's ``SeedSequence(master)`` computes the master seed's pool,
+and one pass of numpy arithmetic hashes each index of the block into it,
+giving the words ``SeedSequence(master, spawn_key=(index,))`` seeds each
+``PCG64`` with, without one ``SeedSequence`` per device.
 
 A device's gaps are drawn from its stream 256 at a time, and a block is
 drawn only while every arrival so far fell inside the horizon.
@@ -37,9 +37,8 @@ from .params import SEED_COUNT, DataRateProfile, RegionalPlan, check_payload, ti
 
 _BLOCK = 256   # exponential draws are taken in fixed-size blocks
 
-# numpy.random.SeedSequence's hash: its pool size and constants, and the
-# number of uint64 words PCG64 seeds itself with.
-_POOL_WORDS = 4
+# numpy.random.SeedSequence's hash constants, and the number of uint64
+# words PCG64 seeds itself with.
 _STATE_WORDS = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -86,8 +85,9 @@ def device_streams(master_seed: int, first: int, stop: int) -> list[np.random.Ge
     """The streams of devices ``first`` to ``stop - 1``, spawned from the master seed.
 
     Device ``i``'s stream is ``Generator(PCG64(SeedSequence(master_seed,
-    spawn_key=(i,))))``, state for state; its seed words come from
-    ``_seed_words``.  Indices must lie in [0, 2**32).
+    spawn_key=(i,))))``, state for state: numpy computes the master seed's
+    pool, and ``_seed_words`` hashes each device index into it to get the
+    seed words.  Indices must lie in [0, 2**32).
     """
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence   # first use loads numpy.random
@@ -120,36 +120,28 @@ def _seed_words(master_seed: int, first: int, stop: int) -> np.ndarray:
     ``SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, np.uint64)``.
 
     NumPy fixes SeedSequence's hash for stream compatibility (NEP 19).  Its
-    entropy is the master seed's 32-bit words, least significant first and
-    zero-padded to the 4-word pool, then the index as one word.  The pool
-    takes the first 4 words, mixes every word into every other, then mixes
-    in each remaining word; the state words hash the pool in turn.  Every
-    step is uint32 arithmetic, so the master's words are 1-element arrays
-    and each step broadcasts over the block once the index has mixed in.
+    pool before the spawn key is ``SeedSequence(master_seed).pool``, which
+    depends on the master alone; the index is then mixed into each pool
+    word, and the state words hash the pool in turn.  By then the hash's
+    running constant has stepped 4 x max(4, the master's 32-bit word count)
+    times: 4 for the pool words, 12 for mixing them pairwise and 4 for each
+    master word past the fourth.  Every step is uint32 arithmetic, so each
+    pool word is a 1-element array and broadcasts over the block's indices.
     An index of 2**32 or more has two words, so it raises ``ValueError``.
     """
+    from numpy.random import SeedSequence
     if master_seed < 0:
         raise ValueError(f"master_seed must be non-negative, got {master_seed}")
     if not 0 <= first <= stop <= 2 ** 32:
         raise ValueError(f"device indices must lie in [0, 2**32), got [{first}, {stop})")
-    words = [master_seed >> shift & _MASK32
-             for shift in range(0, max(master_seed.bit_length(), 1), 32)]
-    entropy = [np.array([word], dtype=np.uint32)
-               for word in words + [0] * (_POOL_WORDS - len(words))]
-    entropy.append(np.arange(first, stop, dtype=np.int64).astype(np.uint32))
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL_WORDS]]
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            pool[dst] = _mix(pool[dst], hashmix(word))
+    steps = 4 * max(4, -(-master_seed.bit_length() // 32))
+    hashmix = _hasher(_INIT_A * pow(_MULT_A, steps, 2 ** 32) & _MASK32, _MULT_A)
+    index = np.arange(first, stop, dtype=np.int64).astype(np.uint32)
+    pool = [_mix(word, hashmix(index)) for word in SeedSequence(master_seed).pool[:, None]]
     state = np.empty((stop - first, 2 * _STATE_WORDS), dtype="<u4")
     hash_state = _hasher(_INIT_B, _MULT_B)
     for column in range(state.shape[1]):
-        state[:, column] = hash_state(pool[column % _POOL_WORDS])
+        state[:, column] = hash_state(pool[column % len(pool)])
     return state
 
 

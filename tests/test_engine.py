@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -667,15 +671,52 @@ def test_memory_guard_compares_bytes_with_physical_memory(monkeypatch):
                 run(scenario)
 
 
-# Peak RSS per packet, as ru_maxrss after run minus after build_scenario in a
-# fresh process, 10 B, seed 1: the least and the most over three runs of each.
-@pytest.mark.parametrize("region, dr, measured", [
-    (EU868, "DR8", (114.3, 122.4)),   # 20 000 and 40 000 devices, 1 h
-    (EU868, "DR9", (75.6, 80.4)),     # 20 000 and 40 000 devices, 1 h
-    (EU868, "DR0", (52.9, 67.4)),     # 100 and 400 devices, 100 h
-    (EU868, "DR5", (49.2, 54.8)),     # 100 and 200 devices for 10 h, 1 000 for 1 h
-    (US915, "DR5", (42.3, 43.7)),     # 400 and 2 000 devices, 1 h
-])
+_HOUR = 3_600_000
+# Peak RSS per packet as ``measure_peaks`` measures it.  The recorded rows
+# predate the kernel taking emission lengths; ROADMAP item 13 holds a later,
+# lower run whose LoRa rows fall below half of ``bytes_per_packet``.
+PEAKS = [   # (region, dr, (devices, horizon ms) of each run, measured B a packet)
+    (EU868, "DR8", ((20_000, _HOUR), (40_000, _HOUR)), (114.3, 122.4)),
+    (EU868, "DR9", ((20_000, _HOUR), (40_000, _HOUR)), (75.6, 80.4)),
+    (EU868, "DR0", ((100, 100 * _HOUR), (400, 100 * _HOUR)), (52.9, 67.4)),
+    (EU868, "DR5", ((100, 10 * _HOUR), (200, 10 * _HOUR), (1_000, _HOUR)), (49.2, 54.8)),
+    (US915, "DR5", ((400, _HOUR), (2_000, _HOUR)), (42.3, 43.7)),
+]
+
+_PEAK_PROBE = """
+import resource, sys
+from lorae_sim.engine import run
+from lorae_sim.experiments import build_scenario
+region, dr, devices, horizon = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+scenario = build_scenario(region, dr, 10, devices, horizon, 1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+packets = run(scenario).generated_packets
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024 / packets)
+"""
+
+
+def measure_peaks(runs: int = 3) -> list[tuple[str, str, tuple[float, float]]]:
+    """Each ``PEAKS`` row's measured peak RSS per generated packet (B), as in
+    README "Memory": 10 B, seed 1, ``ru_maxrss`` (KiB on Linux) after
+    ``run`` minus after ``build_scenario`` in a fresh process, and the
+    least and the most over ``runs`` runs of each of the row's scenarios.
+    Tier-1 does not call it; remeasure the rows with::
+
+        PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \\
+            import test_engine as t; print(*t.measure_peaks(), sep='\\n')"
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    rows = []
+    for region, dr, scenarios, _ in PEAKS:
+        per_packet = [float(subprocess.run(
+            [sys.executable, "-c", _PEAK_PROBE, region, dr, str(devices), str(horizon)],
+            env=env, capture_output=True, text=True, check=True).stdout)
+            for devices, horizon in scenarios for _ in range(runs)]
+        rows.append((region, dr, (round(min(per_packet), 1), round(max(per_packet), 1))))
+    return rows
+
+
+@pytest.mark.parametrize("region, dr, measured", [(r, dr, m) for r, dr, _, m in PEAKS])
 def test_bytes_per_packet_bounds_the_measured_peaks(region, dr, measured):
     per_packet = engine.bytes_per_packet(_scenario(dr, 10, 1, 3_600_000, seed=1, region=region))
     assert max(measured) <= per_packet <= 2 * min(measured)

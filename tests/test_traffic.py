@@ -29,9 +29,11 @@ def test_device_config_validates_payload():
 
 # --- device streams ----------------------------------------------------------
 
-# 2**128 + 3 has five 32-bit words, one more than SeedSequence's pool, so it
-# takes the branch that mixes in the entropy left over after the pool.
-MASTERS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 128 + 3, 2 ** 200]
+# SeedSequence's hash constant steps 4 times per pool word, or per master
+# word past the pool's four.  2**128 - 1 is the largest master with four
+# 32-bit words (16 steps); 2**128 + 3 has five, one more than the pool, so it
+# is mixed in after the pool and the constant steps 20 times.
+MASTERS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 128 - 1, 2 ** 128 + 3, 2 ** 200]
 
 
 def _assert_streams_equal_reference(master: int, first: int, stop: int) -> None:
