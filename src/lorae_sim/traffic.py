@@ -21,9 +21,10 @@ arrival times with one running sum, so the Python work per device is one
 fill call per round.
 
 A LoRa-E device then takes its packets' hopping seeds and grids from the
-same stream.  ``hop_draws`` gets them from one ``random_raw`` call per
-device, reduced for the whole block at once to exactly the values
-``Generator.integers`` would draw.
+same stream.  ``hop_draws`` gets them from one ``random_raw(c)`` call per
+device of ``c`` packets: the first c 32-bit halves of those words are its
+seeds and the last c its grids, reduced for the whole block at once to
+exactly the values ``Generator.integers`` would draw.
 """
 
 from __future__ import annotations
@@ -222,47 +223,32 @@ def hop_draws(rngs: list[np.random.Generator], counts: np.ndarray, num_grids: in
     word, low half first, by Lemire's multiply-shift ``(h * n) >> 32``, and
     draws again when ``(h * n) mod 2**32 < 2**32 mod n``.  Without a redraw
     a device's 2c values take the 2c halves of its next c words in order, so
-    each device makes one ``random_raw(c)`` call and the block is reduced in
-    one pass.  A device with any rejected half is rewound by its c words and
-    draws with ``integers`` itself; with 8, 52 or 512 values that happens
-    to at most 48 draws in 2**32.
+    each device makes one ``random_raw(c)`` call: its first c halves land in
+    its rows of the seeds and its last c in its rows of the grids, and the
+    block is reduced in one pass.  A device with any rejected half is
+    rewound by its c words and draws with ``integers`` itself; with 8, 52
+    or 512 values that happens to at most 48 draws in 2**32.
     """
     if not 2 <= num_grids <= 2 ** 32:
         raise ValueError(f"draws need 2 to 2**32 values, got {num_grids}")
-    seeds, grids = _raw_halves(rngs, counts)   # frees the raw words before widening
-    seed_redraws = _multiply_shift(seeds, SEED_COUNT)
-    grid_redraws = _multiply_shift(grids, num_grids)
     ends = np.cumsum(counts)
-    redrawn = np.searchsorted(ends, np.concatenate((seed_redraws, grid_redraws)), side="right")
+    seeds = np.empty(int(counts.sum()), dtype=np.uint32)
+    grids = np.empty_like(seeds)
+    for rng, end, count in zip(rngs, ends.tolist(), counts.tolist()):
+        halves = rng.bit_generator.random_raw(count).astype("<u8", copy=False).view("<u4")
+        seeds[end - count:end] = halves[:count]
+        grids[end - count:end] = halves[count:]
+    rejected = []
+    for values, high in ((seeds, SEED_COUNT), (grids, num_grids)):
+        wide = values.astype(np.uint64)
+        wide *= high
+        rejected.append(np.flatnonzero(wide.astype(np.uint32) < 2 ** 32 % high))
+        wide >>= 32
+        values[:] = wide
+    redrawn = np.searchsorted(ends, np.concatenate(rejected), side="right")
     for device in set(redrawn.tolist()):
         rng, end, count = rngs[device], int(ends[device]), int(counts[device])
         rng.bit_generator.advance(2 ** 128 - count)
         seeds[end - count:end] = rng.integers(0, SEED_COUNT, size=count, dtype=np.uint32)
         grids[end - count:end] = rng.integers(0, num_grids, size=count, dtype=np.uint32)
     return seeds, grids
-
-
-def _raw_halves(rngs: list[np.random.Generator], counts: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """The 32-bit halves of each generator's next ``c`` raw words, low half
-    first: every generator's first c halves, then every generator's last c."""
-    words = np.empty(int(counts.sum()), dtype="<u8")
-    end = 0
-    for rng, count in zip(rngs, counts.tolist()):
-        words[end:end + count] = rng.bit_generator.random_raw(count)
-        end += count
-    halves = words.view("<u4")
-    first = np.repeat(np.tile([True, False], len(counts)), np.repeat(counts, 2))
-    head = halves[first]
-    return head, halves[np.logical_not(first, out=first)]
-
-
-def _multiply_shift(halves: np.ndarray, high: int) -> np.ndarray:
-    """Turn uint32 ``halves`` in place into ``(h * high) >> 32``; return the
-    indices of the halves Lemire's method rejects."""
-    wide = halves.astype(np.uint64)
-    wide *= high
-    rejected = np.flatnonzero(wide.astype(np.uint32) < 2 ** 32 % high)
-    wide >>= 32
-    halves[:] = wide
-    return rejected

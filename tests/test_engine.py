@@ -479,6 +479,18 @@ def test_single_device_all_decoded():
     assert result.loss_breakdown.get(Outcome.LOST_HEADER, 0) == 0
 
 
+def test_runs_that_draw_no_packet():
+    # Every gap is at least 1 ms, so a 1 ms horizon holds no arrival: the
+    # layout is empty and every hop-draw count is 0.
+    for region, dr in ((EU868, "DR8"), (EU868, "DR0"), (US915, "DR5")):
+        result = run(_scenario(dr, 10, 3, 1, seed=4, region=region))
+        assert (result.generated_packets, result.decoded_packets) == (0, 0)
+        assert result.loss_breakdown == {}
+    seeds, grids = traffic.hop_draws(device_streams(4, 0, 3), np.zeros(3, dtype=np.int64), 8)
+    assert seeds.dtype == grids.dtype == np.uint32
+    assert seeds.size == grids.size == 0
+
+
 # --- batched engine vs per-packet reference ----------------------------------
 
 @pytest.mark.parametrize("dr, payload, devices", [
