@@ -21,10 +21,12 @@ block, collided and decoded on their own.  A seed has only ``SEED_COUNT``
 values, so a run takes every seed's hop slots once, as one narrow (hops x
 seeds) ``slot_table``, and a grid gathers its packets' slot columns from
 it.  An emission is (carrier key, start, length) from the template to the
-collision kernel, each in the narrowest dtype that holds it.  Peak memory
-is then the per-packet draws plus the busiest grid's emissions.  Before
-drawing, ``run`` refuses a scenario whose expected packets would not fit
-in physical memory (``check_memory``).
+collision kernel, each in the narrowest dtype that holds it, and the kernel
+works in one two-row int64 buffer that a run allocates once, for its
+busiest grid.  Peak memory is then the per-packet draws plus the busiest
+grid's emissions and that buffer.  Before drawing, ``run`` refuses a
+scenario whose expected packets would not fit in physical memory
+(``check_memory``).
 
 Draws: each packet's start, hopping seed and grid come from its device's
 stream in ``traffic``, a block of devices at a time.
@@ -218,7 +220,8 @@ def slot_table(n_hops: int, carriers_per_grid: int) -> np.ndarray:
     return slots
 
 
-def _collide_arrays(key: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+def _collide_arrays(key: np.ndarray, start: np.ndarray, length: np.ndarray, *,
+                    work: np.ndarray | None = None) -> np.ndarray:
     """Exact all-pairs overlap flags of (carrier key, start, length) emissions.
 
     Keys, starts and lengths are non-negative integers of any integer
@@ -228,10 +231,16 @@ def _collide_arrays(key: np.ndarray, start: np.ndarray, length: np.ndarray) -> n
     carriers never overlap there and "same carrier and overlapping" becomes
     plain interval overlap.  The emission index sits in the low bits of each
     line position, so one in-place sort of the packed values gives the
-    stable (key, start) order; each line end is then its start plus its
-    gathered length.  An emission overlaps an earlier one iff it starts
-    before the furthest end seen so far, and a later one iff the next start
-    falls before its end.
+    stable (key, start) order.  An emission overlaps an earlier one iff it
+    starts before the furthest end seen so far, and a later one iff the
+    next start falls before its end; a line end shifted up by the index
+    bits compares with the packed starts as the end itself would.
+
+    The kernel works in ``work``, an int64 buffer of at least ``(2, n)``
+    for n emissions, allocated here when not given, and reads nothing past
+    column n: row 0 holds the packed values, and row 1 in turn the sorted
+    indices, the shifted line ends (then their running maximum) and the
+    indices again for the final scatter.
 
     Raises ``ValueError`` when the packed values would not fit in int64.
     """
@@ -242,23 +251,28 @@ def _collide_arrays(key: np.ndarray, start: np.ndarray, length: np.ndarray) -> n
     bits = n.bit_length()
     if (int(key.max()) + 1) * span << bits >= 2 ** 63:
         raise ValueError(f"{n} emissions over a {span} ms span do not pack into int64")
-    order = np.arange(n, dtype=np.int64)
-    packed = key.astype(np.int64)
-    packed *= span
+    if work is None:
+        work = np.empty((2, n), dtype=np.int64)
+    packed, line = work[0, :n], work[1, :n]
+    low = (1 << bits) - 1
+    np.multiply(key, span, out=packed, dtype=np.int64)
     packed += start
     packed <<= bits
-    packed |= order
+    packed |= np.arange(n)
     packed.sort()
-    np.bitwise_and(packed, (1 << bits) - 1, out=order)
-    packed >>= bits                          # line starts, ascending
-    line = np.add(packed, length[order], dtype=np.int64)   # line ends
+    np.bitwise_and(packed, low, out=line)             # sorted indices
+    sorted_length = length[line]
+    np.right_shift(packed, bits, out=line)            # line starts, ascending
+    line += sorted_length
+    line <<= bits                                     # line ends, shifted
     hit = np.empty(n, dtype=bool)
     np.less(packed[1:], line[:-1], out=hit[:-1])                  # overlaps the next emission
     hit[-1] = False
     np.maximum.accumulate(line, out=line)
     collided = np.empty(n, dtype=bool)
     hit[1:] |= np.less(packed[1:], line[:-1], out=collided[1:])   # overlaps an earlier one
-    collided[order] = hit
+    np.bitwise_and(packed, low, out=line)             # sorted indices again
+    collided[line] = hit
     return collided
 
 
@@ -350,7 +364,10 @@ def _run_lorae(start: np.ndarray, seeds: np.ndarray, grids: np.ndarray, template
     for LoRa: one grid of one carrier, one hop).  Each non-empty grid
     gathers its hop-major (hops, packets) keys from the table, makes one
     collision call with its starts and template lengths and is decoded on
-    its own.  The outcome counts add up to those of the whole scenario.
+    its own.  Every call works in the leading columns of one (2, hops x
+    packets of the busiest grid) int64 buffer, allocated once here, so no
+    grid allocates the kernel's large arrays afresh.  The outcome counts add
+    up to those of the whole scenario.
 
     The gather raises ``IndexError`` for a seed outside [0, SEED_COUNT).
     """
@@ -360,17 +377,20 @@ def _run_lorae(start: np.ndarray, seeds: np.ndarray, grids: np.ndarray, template
     offsets, durs = offsets.astype(time_dtype), durs.astype(np.min_scalar_type(int(durs.max())))
     top = int(grids.max(initial=0))
     if top == 0:
-        parts = [(start, seeds)]
+        parts, busiest = [(start, seeds)], start.size
     else:
+        per_grid = np.bincount(grids)
         order = np.argsort(grids.astype(np.min_scalar_type(top)), kind="stable")
-        parts = ((start[m], seeds[m]) for m in np.split(order, np.cumsum(np.bincount(grids))[:-1])
+        parts = ((start[m], seeds[m]) for m in np.split(order, np.cumsum(per_grid)[:-1])
                  if m.size)
+        busiest = int(per_grid.max())
+    work = np.empty((2, busiest * len(durs)), dtype=np.int64)
     outcomes = dict.fromkeys((Outcome.DECODED, Outcome.LOST_HEADER, Outcome.LOST_PAYLOAD), 0)
     for grid_start, grid_seeds in parts:
         key = table.take(grid_seeds, axis=1)
         grid_start = grid_start.astype(time_dtype)
         collided = _collide_arrays(key.ravel(), np.add.outer(offsets, grid_start).ravel(),
-                                   np.repeat(durs, grid_start.size))
+                                   np.repeat(durs, grid_start.size), work=work)
         for outcome, count in decode(~collided.reshape(key.shape), n_head, threshold).items():
             outcomes[outcome] += count
     return outcomes

@@ -16,9 +16,11 @@ giving the words ``SeedSequence(master, spawn_key=(index,))`` seeds each
 A device's gaps are drawn from its stream 256 at a time, and a block is
 drawn only while every arrival so far fell inside the horizon.
 ``generate_schedule`` runs these draws in rounds over many devices: each
-round fills one row per still-active device and turns all rows into
-arrival times with one running sum, so the Python work per device is one
-fill call per round.
+round fills one row per still-active device, so the Python work per device
+is one fill call per round, and turns the rows into arrival times with one
+running sum.  A round converts only the leading columns it expects to use,
+twice the expected arrivals left before the horizon rounded up to a power
+of two, and the rest only when some row is still inside the horizon there.
 
 A LoRa-E device then takes its packets' hopping seeds and grids from the
 same stream.  ``hop_draws`` gets them from one ``random_raw(c)`` call per
@@ -29,6 +31,7 @@ exactly the values ``Generator.integers`` would draw.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -177,7 +180,11 @@ def generate_schedule(cfg: DeviceConfig, horizon_ms: int,
     alone.  The devices' blocks are drawn in rounds: round ``r`` holds block
     ``r`` of every device still active, and one scatter per round places
     its kept arrivals at ``first[device] + 256 * r`` of the device-major
-    result.
+    result.  Every block is drawn whole, but a round first converts only
+    its leading ``_round_width`` columns, from the expected arrivals left
+    after its earliest carry; if any row is still inside the horizon at
+    the last of them, it converts the remaining columns of every row too,
+    so the result is exact either way.
     """
     if horizon_ms <= 0:
         raise ValueError(f"horizon must be positive, got {horizon_ms}")
@@ -191,12 +198,11 @@ def generate_schedule(cfg: DeviceConfig, horizon_ms: int,
         draws = buf[:active.size]
         for row, device in zip(draws, active.tolist()):
             rngs[device].standard_exponential(out=row)
-        draws *= mean                  # bitwise rng.exponential(mean)
-        np.ceil(draws, out=draws)
-        np.maximum(draws, 1, out=draws)
-        times = draws.astype(np.int64)
-        np.cumsum(times, axis=1, out=times)
-        times += carry[:, None]
+        width = _round_width((horizon_ms - int(carry.min())) / mean)
+        times = _arrival_times(draws[:, :width], mean, carry)
+        if width < _BLOCK and (times[:, -1] < horizon_ms).any():
+            times = np.concatenate(
+                (times, _arrival_times(draws[:, width:], mean, times[:, -1])), axis=1)
         inside = times < horizon_ms
         kept = np.count_nonzero(inside, axis=1)
         counts[active] += kept
@@ -207,10 +213,30 @@ def generate_schedule(cfg: DeviceConfig, horizon_ms: int,
     start_times = np.empty(int(counts.sum()), dtype=np.int64)
     lane = np.arange(_BLOCK)
     for r, (devices, times, inside) in enumerate(rounds):
-        at = (first[devices] + _BLOCK * r)[:, None] + lane
+        at = (first[devices] + _BLOCK * r)[:, None] + lane[:times.shape[1]]
         start_times[at[inside]] = times[inside]
     start_times.flags.writeable = False
     return ArrivalSchedule(start_times, counts)
+
+
+def _round_width(arrivals_left: float) -> int:
+    """Columns a round converts first: the least power of two at or above
+    twice the expected arrivals left before the horizon, at most 256."""
+    return min(_BLOCK, 1 << (math.ceil(2 * arrivals_left) - 1).bit_length())
+
+
+def _arrival_times(draws: np.ndarray, mean: float, carry: np.ndarray) -> np.ndarray:
+    """Arrival times of consecutive columns of standard exponential draws
+    (scaled in place) after each row's ``carry``: every gap is its draw times
+    ``mean`` (bitwise ``rng.exponential(mean)``) rounded up to whole ms,
+    at least 1, and the times are their running sum."""
+    draws *= mean
+    np.ceil(draws, out=draws)
+    np.maximum(draws, 1, out=draws)
+    times = draws.astype(np.int64)
+    np.cumsum(times, axis=1, out=times)
+    times += carry[:, None]
+    return times
 
 
 def hop_draws(rngs: list[np.random.Generator], counts: np.ndarray, num_grids: int

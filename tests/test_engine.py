@@ -40,9 +40,9 @@ def _run_drawn(monkeypatch, scenario: Scenario, starts: list[int], seeds: list[i
     (key, start, length) triple per call of the collision sweep."""
     laid_out = []
 
-    def collide(key, start, length):
+    def collide(key, start, length, **kwargs):
         laid_out.append((key, start, length))
-        return _collide_arrays(key, start, length)
+        return _collide_arrays(key, start, length, **kwargs)
 
     monkeypatch.setattr(engine, "_draw_packets", lambda _: (
         np.array(starts, dtype=np.int64), np.array(seeds, dtype=np.uint32),
@@ -329,6 +329,25 @@ def test_large_random_case_equals_sweep_oracle():
     assert 0 < sum(expected) < len(expected)
 
 
+def test_a_reused_work_buffer_leaks_nothing_between_calls():
+    # A run collides every grid in one buffer sized for its busiest grid, so
+    # a call must read only its own n columns, whatever a larger call left
+    # in the rest.  The last row sits alone on the highest carrier: it sorts
+    # last and is clean, so a stale value read past it would show.
+    rng = np.random.default_rng(4242)
+    work = np.empty((2, 1200), dtype=np.int64)
+    for n in (1200, 300):
+        key = rng.integers(0, 8, n)
+        key[-1] = 8
+        start = rng.integers(0, 40 * n, n)
+        end = start + rng.integers(1, 200, n)
+        expected = oracles.brute_force_collisions(_rows(key, start, end))
+        assert _collide_arrays(key, start, end - start, work=work).tolist() == expected
+        assert 0 < sum(expected) < n and not expected[-1]
+    work[:] = 0   # a tail below every packed value: it would sort first
+    assert _collide_arrays(key, start, end - start, work=work).tolist() == expected
+
+
 def test_span_covers_a_long_emission_that_starts_early():
     # The 600 ms emission starts before the last start (900), so the packing
     # span, max(start) + max(length) + 1 = 1501, exceeds max(end) + 1 = 931;
@@ -552,9 +571,9 @@ def test_each_collision_call_holds_one_grid(monkeypatch):
     per_grid = np.bincount(grids, minlength=scenario.plan.num_grids)
     calls = []
 
-    def collide(key, start, length):
+    def collide(key, start, length, **kwargs):
         calls.append(start)
-        return _collide_arrays(key, start, length)
+        return _collide_arrays(key, start, length, **kwargs)
 
     monkeypatch.setattr(engine, "_collide_arrays", collide)
     result = run(scenario)
@@ -644,6 +663,25 @@ def test_both_families_take_one_layout_path(monkeypatch, dr):
     monkeypatch.setattr(engine, "_run_lorae", run_lorae)
     result = run(_scenario(dr, 10, 20, 3_600_000, seed=3))
     assert len(calls) == 1 and result.generated_packets > 0
+
+
+@pytest.mark.parametrize("dr", ["DR8", "DR0"])
+def test_collision_calls_take_three_positional_arrays(monkeypatch, dr):
+    # The benchmark's tracer (``perfbench/layers.py``, ``_on_collide``)
+    # unpacks each call's positional arguments as exactly (key, start,
+    # length) and forwards keywords, so anything more must be a keyword.
+    calls, collide = [], engine._collide_arrays
+
+    def traced(*args, **kwargs):
+        key, start, length = args
+        calls.append(key.size)
+        return collide(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_collide_arrays", traced)
+    scenario = _scenario(dr, 10, 200, 3_600_000, seed=3)
+    result = run(scenario)
+    hops = len(_packet_template(scenario.profile, 10)[1])
+    assert sum(calls) == result.generated_packets * hops > 0
 
 
 def test_lora_scenario_loses_only_to_collisions():

@@ -172,9 +172,9 @@ def test_instrumented_sweep_stays_in_process(monkeypatch):
     calls, collide = [], engine._collide_arrays
 
     @functools.wraps(collide)
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args[0].size)
-        return collide(*args)
+        return collide(*args, **kwargs)
 
     monkeypatch.setattr(engine, "_collide_arrays", counting)
     spec = _spec(dr_aliases=("DR0", "DR8"), device_counts=(3, 12), replications=2)

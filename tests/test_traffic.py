@@ -8,7 +8,7 @@ from scipy import stats
 
 from lorae_sim import traffic
 from lorae_sim.engine import _DRAW_DEVICES
-from lorae_sim.params import EU868, dr_profile, regional_plan
+from lorae_sim.params import EU868, US915, dr_profile, regional_plan
 from lorae_sim.traffic import DeviceConfig, device_streams, generate_schedule
 
 import oracles
@@ -183,6 +183,35 @@ def test_batched_schedule_with_no_arrivals():
 def test_batched_schedule_of_one_device():
     cfg = _config("DR5")
     _equals_reference_per_device(cfg, int(cfg.mean_interarrival_ms * 600), 4, 1)
+
+
+@pytest.mark.parametrize("arrivals_left, width", [
+    (0.2, 1), (0.5, 1), (0.51, 2), (26.9, 64),   # about a DR8 device's count in 1 h
+    (32.0, 64), (45.9, 128), (128.0, 256), (1e6, 256)])
+def test_round_width_is_a_power_of_two_at_or_above_twice_the_expected_arrivals(
+        arrivals_left, width):
+    assert traffic._round_width(arrivals_left) == width
+
+
+@pytest.mark.parametrize("width", [1, 8])
+@pytest.mark.parametrize("region, dr, devices, hours", [
+    (EU868, "DR8", 1024, 1), (EU868, "DR9", 1024, 1), (EU868, "DR0", 100, 4),
+    (US915, "DR5", 200, 1)])
+def test_narrow_rounds_fall_back_to_the_whole_block(monkeypatch, width, region, dr,
+                                                    devices, hours):
+    # Rounds that convert only their first ``width`` columns must convert
+    # the rest whenever a row is still inside the horizon there; the usual
+    # width (twice the expected count) almost never needs it.
+    cfg = DeviceConfig(0, dr_profile(region, dr), 10, regional_plan(region, dr))
+    rngs = device_streams(7, 0, devices)
+    expected = generate_schedule(cfg, hours * 3_600_000, rngs)
+    monkeypatch.setattr(traffic, "_round_width", lambda arrivals_left: width)
+    narrow_rngs = device_streams(7, 0, devices)
+    narrow = generate_schedule(cfg, hours * 3_600_000, narrow_rngs)
+    assert narrow.counts.tolist() == expected.counts.tolist()
+    assert narrow.start_times.tolist() == expected.start_times.tolist()
+    assert ([r.bit_generator.state for r in narrow_rngs]
+            == [r.bit_generator.state for r in rngs])
 
 
 def test_schedule_expected_count():
