@@ -162,8 +162,9 @@ def _draw_packets(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarra
     (LoRa-E only) one block of hopping seeds, then one block of grids, as
     ``Generator.integers`` would draw them (see ``traffic.hop_draws``).  Streams,
     schedules and hop draws are made ``_DRAW_DEVICES`` devices at a time,
-    which keeps the draw buffers small.  A LoRa packet draws neither: it
-    gets seed 0 and grid 0, one read-only zero-stride view for both.
+    which keeps the draw buffers small; a lone block's arrays are returned
+    as drawn.  A LoRa packet draws neither: it gets seed 0 and grid 0, one
+    read-only zero-stride view for both.
     """
     starts, seeds, grids = [], [], []
     lorae = scenario.profile.family == LORA_E
@@ -176,10 +177,12 @@ def _draw_packets(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarra
             block_seeds, block_grids = hop_draws(rngs, schedule.counts, scenario.plan.num_grids)
             seeds.append(block_seeds)
             grids.append(block_grids)
-    start = np.concatenate(starts)
+    start = starts[0] if len(starts) == 1 else np.concatenate(starts)
     if not lorae:
         zeros = np.broadcast_to(np.uint32(0), start.shape)
         return start, zeros, zeros
+    if len(starts) == 1:
+        return start, seeds[0], grids[0]
     return start, np.concatenate(seeds), np.concatenate(grids)
 
 

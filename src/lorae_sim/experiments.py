@@ -160,7 +160,7 @@ def sweep(spec: SweepSpec) -> list[ScenarioResult]:
     process when that is 1.  Each point's seed comes from its own
     coordinates, so the results are the same either way.  The first point
     that raises cancels the points not yet started, and its exception
-    propagates.
+    propagates; a worker process that dies raises ``ChildProcessError``.
     """
     points = list(itertools.product(spec.dr_aliases, spec.payload_bytes,
                                     spec.device_counts, range(spec.replications)))
@@ -171,10 +171,14 @@ def sweep(spec: SweepSpec) -> list[ScenarioResult]:
     # workers inherit the imported modules instead of importing them again.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     context = (multiprocessing.get_context("fork")
                if "fork" in multiprocessing.get_all_start_methods() else None)
-    with ProcessPoolExecutor(workers, context) as pool:
-        return list(pool.map(partial(_run_point, spec), *zip(*points)))
+    try:
+        with ProcessPoolExecutor(workers, context) as pool:
+            return list(pool.map(partial(_run_point, spec), *zip(*points)))
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(f"a sweep worker process died: {exc}") from exc
 
 
 def aggregate(results: Iterable[ScenarioResult]) -> list[AggregatePoint]:

@@ -16,11 +16,10 @@ giving the words ``SeedSequence(master, spawn_key=(index,))`` seeds each
 A device's gaps are drawn from its stream 256 at a time, and a block is
 drawn only while every arrival so far fell inside the horizon.
 ``generate_schedule`` runs these draws in rounds over many devices: each
-round fills one row per still-active device, so the Python work per device
-is one fill call per round, and turns the rows into arrival times with one
-running sum.  A round converts only the leading columns it expects to use,
-twice the expected arrivals left before the horizon rounded up to a power
-of two, and the rest only when some row is still inside the horizon there.
+round turns the next 64 gaps of every device still inside the horizon into
+arrival times with one running sum, every fourth round first filling each
+such device's next block with one call.  The rounds join into one devices x
+gaps table, and the schedule is that table cut at the horizon.
 
 A LoRa-E device then takes its packets' hopping seeds and grids from the
 same stream.  ``hop_draws`` gets them from one ``random_raw(c)`` call per
@@ -31,7 +30,6 @@ exactly the values ``Generator.integers`` would draw.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -40,6 +38,7 @@ import numpy as np
 from .params import SEED_COUNT, DataRateProfile, RegionalPlan, check_payload, time_on_air
 
 _BLOCK = 256   # exponential draws are taken in fixed-size blocks
+_ROUND = 64    # and turned into arrival times this many at a time
 
 # numpy.random.SeedSequence's hash constants, and the number of uint64
 # words PCG64 seeds itself with.
@@ -177,52 +176,37 @@ def generate_schedule(cfg: DeviceConfig, horizon_ms: int,
     (at least 1); its arrivals are the running sum, cut at the horizon, and
     it draws another block only when the whole previous one fell inside.
     So each stream is consumed as a function of its own arrival count
-    alone.  The devices' blocks are drawn in rounds: round ``r`` holds block
-    ``r`` of every device still active, and one scatter per round places
-    its kept arrivals at ``first[device] + 256 * r`` of the device-major
-    result.  Every block is drawn whole, but a round first converts only
-    its leading ``_round_width`` columns, from the expected arrivals left
-    after its earliest carry; if any row is still inside the horizon at
-    the last of them, it converts the remaining columns of every row too,
-    so the result is exact either way.
+    alone.  Round ``r`` converts gaps ``64 r`` to ``64 r + 63`` of every
+    device still inside the horizon, drawing its next block first when the
+    round starts one.  The rounds' columns join into one devices x gaps
+    table, the horizon standing in the rows of devices already done: the
+    arrivals are its entries before the horizon, row by row.
     """
     if horizon_ms <= 0:
         raise ValueError(f"horizon must be positive, got {horizon_ms}")
     mean = cfg.mean_interarrival_ms
     active = np.arange(len(rngs))
     carry = np.zeros(len(rngs), dtype=np.int64)
-    counts = np.zeros(len(rngs), dtype=np.int64)
     buf = np.empty((len(rngs), _BLOCK))
-    rounds: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    rounds = [np.empty((len(rngs), 0), dtype=np.int64)]   # so that no rounds join too
     while active.size:
-        draws = buf[:active.size]
-        for row, device in zip(draws, active.tolist()):
-            rngs[device].standard_exponential(out=row)
-        width = _round_width((horizon_ms - int(carry.min())) / mean)
-        times = _arrival_times(draws[:, :width], mean, carry)
-        if width < _BLOCK and (times[:, -1] < horizon_ms).any():
-            times = np.concatenate(
-                (times, _arrival_times(draws[:, width:], mean, times[:, -1])), axis=1)
-        inside = times < horizon_ms
-        kept = np.count_nonzero(inside, axis=1)
-        counts[active] += kept
-        rounds.append((active, times, inside))
-        full = kept == _BLOCK
+        lane = (len(rounds) - 1) * _ROUND % _BLOCK
+        if lane == 0:
+            for device in active.tolist():
+                rngs[device].standard_exponential(out=buf[device])
+        times = _arrival_times(buf[active, lane:lane + _ROUND], mean, carry)
+        columns = np.full((len(rngs), _ROUND), horizon_ms, dtype=np.int64)
+        columns[active] = times
+        rounds.append(columns)
+        full = times[:, -1] < horizon_ms
         active, carry = active[full], times[full, -1]
-    first = np.cumsum(counts) - counts
-    start_times = np.empty(int(counts.sum()), dtype=np.int64)
-    lane = np.arange(_BLOCK)
-    for r, (devices, times, inside) in enumerate(rounds):
-        at = (first[devices] + _BLOCK * r)[:, None] + lane[:times.shape[1]]
-        start_times[at[inside]] = times[inside]
+    del buf                    # the draws are freed before the table is built,
+    table = np.concatenate(rounds, axis=1)
+    rounds.clear()             # and the rounds before it is cut
+    inside = table < horizon_ms
+    start_times = table[inside]
     start_times.flags.writeable = False
-    return ArrivalSchedule(start_times, counts)
-
-
-def _round_width(arrivals_left: float) -> int:
-    """Columns a round converts first: the least power of two at or above
-    twice the expected arrivals left before the horizon, at most 256."""
-    return min(_BLOCK, 1 << (math.ceil(2 * arrivals_left) - 1).bit_length())
+    return ArrivalSchedule(start_times, np.count_nonzero(inside, axis=1))
 
 
 def _arrival_times(draws: np.ndarray, mean: float, carry: np.ndarray) -> np.ndarray:

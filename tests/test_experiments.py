@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from lorae_sim import engine, experiments
+from lorae_sim.cli import main
 from lorae_sim.engine import ScenarioConfigError, run
 from lorae_sim.experiments import (AGGREGATE_COLUMNS, CrossoverNotFound, SweepSpec,
                                    aggregate, aggregate_capacity, build_scenario,
@@ -241,6 +242,30 @@ def test_pooled_sweep_reraises_a_worker_error(monkeypatch):
         sweep(spec)
     assert pools == [2]
     assert experiments.run is run
+
+
+def _kill_workers() -> None:
+    """Pool initializer: the first point run in this worker ends its process."""
+    experiments.run = lambda scenario: os._exit(1)
+
+
+class _DyingPool(_RecordingPool):
+    def __init__(self, workers, context=None):
+        super().__init__(workers, context, initializer=_kill_workers)
+
+
+def test_pooled_sweep_reports_a_dead_worker(monkeypatch, capsys):
+    # Exit status 1 means no crossover was bracketed, so a dead worker must
+    # not surface as an uncaught error: it is an OSError, and the CLI exits 2.
+    _set_cpus(monkeypatch, 2)
+    pools = _pool_sizes(monkeypatch, _DyingPool)
+    spec = _spec(dr_aliases=("DR0", "DR8"), device_counts=(3, 12), replications=2)
+    with pytest.raises(ChildProcessError, match="a sweep worker process died"):
+        sweep(spec)
+    assert main(["sweep", "--dr", "DR0,DR8", "--payload", "10", "--devices", "3,12",
+                 "--horizon-ms", "3600000", "--replications", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: a sweep worker process died")
+    assert pools == [2, 2]
 
 
 def test_find_crossover_runs_one_sweep_with_both_curves(monkeypatch):
