@@ -233,7 +233,8 @@ def _collide_arrays(key: np.ndarray, start: np.ndarray, length: np.ndarray, *,
     ``span = max(start) + max(length) + 1``, so emissions on different
     carriers never overlap there and "same carrier and overlapping" becomes
     plain interval overlap.  The emission index sits in the low bits of each
-    line position, so one in-place sort of the packed values gives the
+    line position, ORed in from an index row of the narrowest signed dtype
+    that holds it, so one in-place sort of the packed values gives the
     stable (key, start) order.  An emission overlaps an earlier one iff it
     starts before the furthest end seen so far, and a later one iff the
     next start falls before its end; a line end shifted up by the index
@@ -261,7 +262,7 @@ def _collide_arrays(key: np.ndarray, start: np.ndarray, length: np.ndarray, *,
     np.multiply(key, span, out=packed, dtype=np.int64)
     packed += start
     packed <<= bits
-    packed |= np.arange(n)
+    packed |= np.arange(n, dtype=np.min_scalar_type(-n))
     packed.sort()
     np.bitwise_and(packed, low, out=line)             # sorted indices
     sorted_length = length[line]
@@ -279,20 +280,20 @@ def _collide_arrays(key: np.ndarray, start: np.ndarray, length: np.ndarray, *,
     return collided
 
 
-def decode(clean: np.ndarray, n_head: int, threshold: int) -> dict[Outcome, int]:
-    """Outcome counts of packets of either family from their uncollided-emission flags.
+def decode(collided: np.ndarray, n_head: int, threshold: int) -> np.ndarray:
+    """Decoded, lost-header and lost-payload counts of packets of either family.
 
-    ``clean`` is hop-major: one row per template emission, header replicas
-    first, and one column per packet.  A packet decodes with at least one
-    clean header and ``threshold`` clean fragments.  A LoRa packet's one
+    ``collided`` holds the collision flags hop-major: one row per template
+    emission, header replicas first, and one column per packet.  A packet is
+    heard unless every header replica collided, and decodes when at most
+    ``fragments - threshold`` of its fragments collided.  A LoRa packet's one
     emission is its header, and its threshold is 0.
     """
-    heard = clean[:n_head].any(axis=0)
-    fragments = clean[n_head:].sum(axis=0, dtype=np.min_scalar_type(len(clean)))
-    n_heard = int(np.count_nonzero(heard))
-    n_decoded = int(np.count_nonzero(heard & (fragments >= threshold)))
-    return {Outcome.DECODED: n_decoded, Outcome.LOST_HEADER: clean.shape[1] - n_heard,
-            Outcome.LOST_PAYLOAD: n_heard - n_decoded}
+    deaf = collided[:n_head].all(axis=0)
+    lost = collided[n_head:].sum(axis=0, dtype=np.min_scalar_type(len(collided)))
+    n_deaf = np.count_nonzero(deaf)
+    n_decoded = np.count_nonzero(~deaf & (lost <= len(collided) - n_head - threshold))
+    return np.array([n_decoded, n_deaf, deaf.size - n_deaf - n_decoded])
 
 
 def bytes_per_packet(scenario: Scenario) -> int:
@@ -334,11 +335,11 @@ def run(scenario: Scenario) -> ScenarioResult:
     check_memory(scenario)
     template = _packet_template(scenario.profile, scenario.payload_bytes)
     start, seeds, grids = _draw_packets(scenario)
-    outcomes = _run_lorae(start, seeds, grids, template, scenario.plan.carriers_per_grid)
-    if scenario.profile.family == LORA:   # its one emission is its header
-        outcomes[Outcome.LOST_COLLISION] = outcomes.pop(Outcome.LOST_HEADER)
+    decoded, lost_header, lost_payload = _run_lorae(
+        start, seeds, grids, template, scenario.plan.carriers_per_grid).tolist()
+    header = Outcome.LOST_COLLISION if scenario.profile.family == LORA else Outcome.LOST_HEADER
+    losses = {header: lost_header, Outcome.LOST_PAYLOAD: lost_payload}
     per_hour = 3_600_000 / scenario.horizon_ms
-    decoded = outcomes.pop(Outcome.DECODED)
     return ScenarioResult(
         device_count=len(scenario.devices),
         dr_label=scenario.profile.alias,
@@ -350,12 +351,12 @@ def run(scenario: Scenario) -> ScenarioResult:
         offered_load_packets_per_hour=scenario.offered_load_pkts_per_hour(),
         throughput_packets_per_hour=decoded * per_hour,
         goodput_bytes_per_hour=decoded * scenario.payload_bytes * per_hour,
-        loss_breakdown={k: v for k, v in outcomes.items() if v},
+        loss_breakdown={k: v for k, v in losses.items() if v},
     )
 
 
 def _run_lorae(start: np.ndarray, seeds: np.ndarray, grids: np.ndarray, template: _Template,
-               carriers_per_grid: int) -> dict[Outcome, int]:
+               carriers_per_grid: int) -> np.ndarray:
     """Collide and decode the packets of either family, one grid at a time.
 
     Grids share no carrier, so a packet can only collide with packets of
@@ -369,8 +370,8 @@ def _run_lorae(start: np.ndarray, seeds: np.ndarray, grids: np.ndarray, template
     collision call with its starts and template lengths and is decoded on
     its own.  Every call works in the leading columns of one (2, hops x
     packets of the busiest grid) int64 buffer, allocated once here, so no
-    grid allocates the kernel's large arrays afresh.  The outcome counts add
-    up to those of the whole scenario.
+    grid allocates the kernel's large arrays afresh.  The grids' ``decode``
+    counts add up to those of the whole scenario.
 
     The gather raises ``IndexError`` for a seed outside [0, SEED_COUNT).
     """
@@ -388,12 +389,11 @@ def _run_lorae(start: np.ndarray, seeds: np.ndarray, grids: np.ndarray, template
                  if m.size)
         busiest = int(per_grid.max())
     work = np.empty((2, busiest * len(durs)), dtype=np.int64)
-    outcomes = dict.fromkeys((Outcome.DECODED, Outcome.LOST_HEADER, Outcome.LOST_PAYLOAD), 0)
+    counts = np.zeros(3, dtype=np.int64)
     for grid_start, grid_seeds in parts:
         key = table.take(grid_seeds, axis=1)
         grid_start = grid_start.astype(time_dtype)
         collided = _collide_arrays(key.ravel(), np.add.outer(offsets, grid_start).ravel(),
                                    np.repeat(durs, grid_start.size), work=work)
-        for outcome, count in decode(~collided.reshape(key.shape), n_head, threshold).items():
-            outcomes[outcome] += count
-    return outcomes
+        counts += decode(collided.reshape(key.shape), n_head, threshold)
+    return counts

@@ -116,16 +116,16 @@ def test_us915_draws_equal_oracle(seed):
     _assert_draws_equal_oracle(_scenario("DR5", 10, 12, 3_600_000, seed=seed, region=US915))
 
 
-# Traced peak of ``_draw_packets`` per packet (B), as ``measure_live_draws``
-# measures it.  numpy reports its data buffers to ``tracemalloc``, so the
-# peak counts the live arrays and nothing of the heap layout, and a few
-# bytes a packet of regression show.
-LIVE_DRAWS = [   # (region, dr, devices, hours, measured B a packet)
-    (EU868, "DR8", 2_000, 1, 79.44),
-    (EU868, "DR9", 2_000, 1, 49.73),
-    (EU868, "DR0", 100, 4, 40.04),
-    (EU868, "DR5", 100, 4, 18.14),
-    (US915, "DR5", 50, 1, 32.47),
+# Traced peaks of ``_draw_packets`` and of the whole ``run`` per packet (B),
+# as ``measure_live_draws`` measures them.  numpy reports its data buffers
+# to ``tracemalloc``, so a peak counts the live arrays and nothing of the
+# heap layout, and a few bytes a packet of regression show.
+LIVE_DRAWS = [   # (region, dr, devices, hours, measured B a packet: draws, run)
+    (EU868, "DR8", 2_000, 1, (79.44, 81.58)),
+    (EU868, "DR9", 2_000, 1, (49.73, 56.75)),
+    (EU868, "DR0", 100, 4, (40.04, 42.01)),
+    (EU868, "DR5", 100, 4, (18.14, 38.20)),
+    (US915, "DR5", 50, 1, (32.47, 33.62)),
 ]
 
 
@@ -149,26 +149,31 @@ def _live_peaks(scenario: Scenario) -> tuple[float, float]:
     return peaks[0] / result.generated_packets, peaks[1] / result.generated_packets
 
 
-def measure_live_draws() -> list[tuple[str, str, int, int, float]]:
-    """Each ``LIVE_DRAWS`` row with its draws' traced peak remeasured at 10 B
-    and seed 1.  Tier-1 does not call it; remeasure the rows with::
+def measure_live_draws() -> list[tuple[str, str, int, int, tuple[float, float]]]:
+    """Each ``LIVE_DRAWS`` row with its draws' and its whole run's traced
+    peaks remeasured at 10 B and seed 1.  Tier-1 does not call it;
+    remeasure the rows with::
 
         PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \\
             import test_engine as t; print(*t.measure_live_draws(), sep='\\n')"
     """
-    return [(*row[:4], round(_live_peaks(_live_scenario(*row[:4]))[0], 2)) for row in LIVE_DRAWS]
+    return [(*row[:4], tuple(round(peak, 2) for peak in _live_peaks(_live_scenario(*row[:4]))))
+            for row in LIVE_DRAWS]
 
 
 @pytest.mark.parametrize("region, dr, devices, hours, measured", LIVE_DRAWS,
                          ids=[f"{r}-{dr}-{n}" for r, dr, n, _, _ in LIVE_DRAWS])
 def test_draws_need_less_memory_than_bytes_per_packet(region, dr, devices, hours, measured):
-    # The draws are the first part of a run's peak: theirs stays at the
-    # recorded value, and the whole run's fits in the estimate.  Without the
-    # schedule's early release of its draw buffer EU868 DR8, DR9 and DR0
-    # exceed their values, and without that of its rounds DR0 and DR5 do.
+    # The draws are the first part of a run's peak: theirs and the whole
+    # run's stay at their recorded values, and the whole run's fits in the
+    # estimate.  Without the schedule's early release of its draw buffer
+    # EU868 DR8, DR9 and DR0 exceed their draws' values, and without that of
+    # its rounds DR0 and DR5 do; with an int64 index row in the collision
+    # kernel every EU868 row exceeds its run's value.
     scenario = _live_scenario(region, dr, devices, hours)
     draws, whole = _live_peaks(scenario)
-    assert draws <= measured + 1
+    assert draws <= measured[0] + 1
+    assert whole <= measured[1] + 1
     assert whole <= engine.bytes_per_packet(scenario)
 
 
@@ -380,6 +385,51 @@ def test_large_random_case_equals_sweep_oracle():
     assert 0 < sum(expected) < len(expected)
 
 
+def _brute_force_by_carrier(rows: list[tuple[int, int, int]]) -> list[bool]:
+    """``oracles.brute_force_collisions`` carrier by carrier: only rows of one
+    carrier can overlap, so the flags are the same and the pairs far fewer."""
+    by_carrier: dict[int, list[int]] = {}
+    for i, (carrier, _, _) in enumerate(rows):
+        by_carrier.setdefault(carrier, []).append(i)
+    flags = [False] * len(rows)
+    for members in by_carrier.values():
+        for i, hit in zip(members, oracles.brute_force_collisions([rows[i] for i in members])):
+            flags[i] = hit
+    return flags
+
+
+@pytest.mark.parametrize("n", [128, 129, 32_768, 32_769])
+def test_flags_equal_brute_force_across_index_dtype_boundaries(n):
+    # The index row is int8 up to 128 emissions, int16 up to 32 768 and
+    # int32 beyond: on each side of each step the flags are the oracle's.
+    rng = np.random.default_rng(n)
+    key = rng.integers(0, n // 16, n)
+    start = rng.integers(0, 400, n)
+    end = start + rng.integers(1, 40, n)
+    expected = _brute_force_by_carrier(_rows(key, start, end))
+    assert _collide_arrays(key, start, end - start).tolist() == expected
+    assert 0 < sum(expected) < n
+
+
+def test_kernel_in_a_callers_buffer_needs_under_5_bytes_an_emission():
+    # A DR8 grid of about 740 000 emissions, in the dtypes a run passes:
+    # with the two-row buffer given, what the kernel allocates is its index
+    # row (4 B an emission as int32), the gathered lengths and two flag rows.
+    rng = np.random.default_rng(8)
+    n = 46_250 * 16
+    key = rng.integers(0, 35, n).astype(np.uint8)
+    start = rng.integers(0, 3_600_000, n).astype(np.uint32)
+    length = rng.integers(50, 234, n).astype(np.uint8)
+    work = np.empty((2, n), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        _collide_arrays(key, start, length, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * n
+
+
 def test_a_reused_work_buffer_leaks_nothing_between_calls():
     # A run collides every grid in one buffer sized for its busiest grid, so
     # a call must read only its own n columns, whatever a larger call left
@@ -446,10 +496,9 @@ def _outcome(dr: str, clean_headers: int, clean_fragments: int) -> Outcome:
     n_frag = len(durs) - n_head
     column = np.concatenate([np.arange(n_head) < clean_headers,
                              np.arange(n_frag) < clean_fragments])
-    counts = decode(column[:, None], n_head, threshold)   # hop-major: one column
-    (outcome,) = [k for k, v in counts.items() if v]
-    assert counts[outcome] == 1
-    return outcome
+    counts = decode(~column[:, None], n_head, threshold)   # collision flags, one column
+    assert sorted(counts.tolist()) == [0, 0, 1]
+    return (Outcome.DECODED, Outcome.LOST_HEADER, Outcome.LOST_PAYLOAD)[counts.argmax()]
 
 
 def test_threshold_is_coding_rate_share_of_fragments():
