@@ -14,19 +14,22 @@ fragments; a LoRa packet is one emission, its own header, with threshold 0.
 The layout, the decoding and the memory estimate all read the template, on
 one path for both families: LoRa is one grid of one carrier, and one hop.
 
-``run`` works one grid at a time.  Grids share no sub-carrier, so
-packets on different grids never collide: the packets are split by grid,
-and each grid's emissions are laid out as one hop-major (hops x packets)
-block, collided and decoded on their own.  A seed has only ``SEED_COUNT``
-values, so a run takes every seed's hop slots once, as one narrow (hops x
-seeds) ``slot_table``, and a grid gathers its packets' slot columns from
-it.  An emission is (carrier key, start, length) from the template to the
-collision kernel, each in the narrowest dtype that holds it, and the kernel
-works in one two-row int64 buffer that a run allocates once, for its
-busiest grid.  Peak memory is then the per-packet draws plus the busiest
-grid's emissions and that buffer.  Before drawing, ``run`` refuses a
-scenario whose expected packets would not fit in physical memory
-(``check_memory``).
+``run`` works grid by grid.  Grids share no sub-carrier, so packets on
+different grids never collide: the packets are grouped by grid once, each
+keeping only its start and its seed, and each grid's emissions are laid
+out as one hop-major (hops x packets) block, collided and decoded on their
+own.  A seed has only ``SEED_COUNT`` values, so a run takes every seed's
+hop slots once, as one narrow (hops x seeds) ``slot_table``, and a grid
+gathers its packets' slot columns from it.  An emission is (carrier key,
+start, length) from the template to the collision kernel, each in the
+narrowest dtype that holds it, and the kernel works in a two-row int64
+buffer.  The grids are shared among threads, each with its own buffers
+for the busiest grid, allocated once a run; a thread beyond the first
+runs only where the bytes the grouping frees pay for its buffers
+(``_grid_threads``), so threads never raise a run's peak memory: the
+larger of the per-packet draws and of the grouped packets plus the
+threads' buffers.  Before drawing, ``run`` refuses a scenario whose
+expected packets would not fit in physical memory (``check_memory``).
 
 Draws: each packet's start, hopping seed and grid come from its device's
 stream in ``traffic``, a block of devices at a time.
@@ -330,13 +333,18 @@ def run(scenario: Scenario) -> ScenarioResult:
     """Simulate one scenario deterministically and return its counters.
 
     Raises ``check_memory``'s error before drawing anything.  Every packet
-    drawn counts as generated, so outcomes that miss one fail the result's check.
+    drawn counts as generated, so outcomes that miss one fail the result's
+    check.  The draws are popped into ``_run_lorae``'s call, so no reference
+    to them stays here and it can free them once it has grouped them by grid
+    (CPython 3.11 and later hand a call's arguments over to the callee).
     """
     check_memory(scenario)
     template = _packet_template(scenario.profile, scenario.payload_bytes)
-    start, seeds, grids = _draw_packets(scenario)
+    draws = list(_draw_packets(scenario))
+    generated = draws[0].size
     decoded, lost_header, lost_payload = _run_lorae(
-        start, seeds, grids, template, scenario.plan.carriers_per_grid).tolist()
+        draws.pop(0), draws.pop(0), draws.pop(0), template,
+        scenario.plan.carriers_per_grid).tolist()
     header = Outcome.LOST_COLLISION if scenario.profile.family == LORA else Outcome.LOST_HEADER
     losses = {header: lost_header, Outcome.LOST_PAYLOAD: lost_payload}
     per_hour = 3_600_000 / scenario.horizon_ms
@@ -346,7 +354,7 @@ def run(scenario: Scenario) -> ScenarioResult:
         payload_label=str(scenario.payload_bytes),
         master_seed=scenario.master_seed,
         horizon_ms=scenario.horizon_ms,
-        generated_packets=start.size,
+        generated_packets=generated,
         decoded_packets=decoded,
         offered_load_packets_per_hour=scenario.offered_load_pkts_per_hour(),
         throughput_packets_per_hour=decoded * per_hour,
@@ -355,23 +363,46 @@ def run(scenario: Scenario) -> ScenarioResult:
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _grid_threads(grids: int, freed: int, thread_bytes: int) -> int:
+    """Threads that collide a run's ``grids`` non-empty grids.
+
+    One per usable CPU, but no more than there are grids, and a thread
+    beyond the first only where the ``freed`` bytes the grid phase lets go
+    of pay for its ``thread_bytes`` of buffers, so that no thread raises
+    the run's peak above its one-thread peak.
+    """
+    return max(1, min(_usable_cpus(), grids, 1 + freed // max(thread_bytes, 1)))
+
+
 def _run_lorae(start: np.ndarray, seeds: np.ndarray, grids: np.ndarray, template: _Template,
                carriers_per_grid: int) -> np.ndarray:
-    """Collide and decode the packets of either family, one grid at a time.
+    """Collide and decode the packets of either family, grid by grid, on threads.
 
     Grids share no carrier, so a packet can only collide with packets of
     its own grid.  The hop slots of all ``SEED_COUNT`` seeds come from one
     ``slot_table`` call, a (hops, seeds) table in a narrow unsigned dtype;
     emission starts and lengths, and the grid numbers the packets are
     stably sorted by, take the narrowest dtype that holds their largest
-    value.  The sort is skipped when every packet is on grid 0 (so always
-    for LoRa: one grid of one carrier, one hop).  Each non-empty grid
-    gathers its hop-major (hops, packets) keys from the table, makes one
-    collision call with its starts and template lengths and is decoded on
-    its own.  Every call works in the leading columns of one (2, hops x
-    packets of the busiest grid) int64 buffer, allocated once here, so no
-    grid allocates the kernel's large arrays afresh.  The grids' ``decode``
-    counts add up to those of the whole scenario.
+    value.  The packets are grouped by grid once: each keeps its start, in
+    that narrow dtype, and its seed, and the draws and the sort order are
+    let go of (the int64 starts are freed when the caller kept no
+    reference, as ``run`` does).  The sort is skipped when every packet is
+    on grid 0 (so always for LoRa: one grid of one carrier, one hop).
+
+    Each non-empty grid lays out its hop-major (hops, packets) keys, starts
+    and template lengths in a thread's buffers, makes one collision call in
+    its int64 work buffer and is decoded on its own.  Every thread's
+    buffers are sized for the busiest grid and allocated here, before any
+    thread starts; ``_grid_threads`` sets how many threads there are, each
+    taking the next grid not yet taken.  The grids' ``decode`` counts add up,
+    in any order, to those of the whole scenario.
 
     The gather raises ``IndexError`` for a seed outside [0, SEED_COUNT).
     """
@@ -379,21 +410,46 @@ def _run_lorae(start: np.ndarray, seeds: np.ndarray, grids: np.ndarray, template
     table = slot_table(len(durs), carriers_per_grid)
     time_dtype = np.min_scalar_type(int(start.max(initial=0)) + int(offsets[-1]))
     offsets, durs = offsets.astype(time_dtype), durs.astype(np.min_scalar_type(int(durs.max())))
+    held = start.nbytes + seeds.nbytes + grids.nbytes
+    start = start.astype(time_dtype)
     top = int(grids.max(initial=0))
     if top == 0:
-        parts, busiest = [(start, seeds)], start.size
+        per_grid = np.array([start.size])
     else:
         per_grid = np.bincount(grids)
         order = np.argsort(grids.astype(np.min_scalar_type(top)), kind="stable")
-        parts = ((start[m], seeds[m]) for m in np.split(order, np.cumsum(per_grid)[:-1])
-                 if m.size)
-        busiest = int(per_grid.max())
-    work = np.empty((2, busiest * len(durs)), dtype=np.int64)
-    counts = np.zeros(3, dtype=np.int64)
-    for grid_start, grid_seeds in parts:
-        key = table.take(grid_seeds, axis=1)
-        grid_start = grid_start.astype(time_dtype)
-        collided = _collide_arrays(key.ravel(), np.add.outer(offsets, grid_start).ravel(),
-                                   np.repeat(durs, grid_start.size), work=work)
-        counts += decode(collided.reshape(key.shape), n_head, threshold)
-    return counts
+        held += order.nbytes
+        del grids
+        seeds, start = seeds[order], start[order]
+        del order
+    ends = np.cumsum(per_grid).tolist()
+    bounds = iter([(end - count, end) for end, count in zip(ends, per_grid.tolist()) if count])
+    emissions = int(per_grid.max()) * len(durs)
+
+    def buffer_set() -> tuple[np.ndarray, ...]:
+        return (np.empty((2, emissions), dtype=np.int64), np.empty(emissions, dtype=table.dtype),
+                np.empty(emissions, dtype=time_dtype), np.empty(emissions, dtype=durs.dtype))
+
+    def collide(buffers: tuple[np.ndarray, ...]) -> np.ndarray:
+        work, key, em_start, length = buffers
+        counts = np.zeros(3, dtype=np.int64)
+        for first, stop in bounds:   # shared by the threads: each grid goes to one of them
+            shape = (len(durs), stop - first)
+            n = shape[0] * shape[1]
+            table.take(seeds[first:stop], axis=1, out=key[:n].reshape(shape))
+            np.add(offsets[:, None], start[first:stop], out=em_start[:n].reshape(shape))
+            length[:n].reshape(shape)[:] = durs[:, None]
+            collided = _collide_arrays(key[:n], em_start[:n], length[:n], work=work)
+            counts += decode(collided.reshape(shape), n_head, threshold)
+        return counts
+
+    sets = [buffer_set()]
+    threads = _grid_threads(np.count_nonzero(per_grid), held - start.nbytes - seeds.nbytes,
+                            sum(b.nbytes for b in sets[0]))
+    sets += [buffer_set() for _ in range(threads - 1)]
+    if threads == 1:
+        return collide(sets[0])
+    from concurrent.futures import ThreadPoolExecutor   # kept out of the package's import time
+    with ThreadPoolExecutor(threads - 1) as pool:
+        others = pool.map(collide, sets[1:])   # started before this thread takes its share
+        return collide(sets[0]) + sum(others)

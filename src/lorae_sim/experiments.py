@@ -19,7 +19,6 @@ LoRa, which gets one scenario per DR).
 from __future__ import annotations
 
 import itertools
-import os
 import sys
 import zlib
 from dataclasses import dataclass
@@ -113,13 +112,6 @@ def _run_point(spec: SweepSpec, dr: str, payload_bytes: int, devices: int,
                               spec.horizon_ms, seed))
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _point_namespace() -> dict[tuple[str, str], object]:
     """Every function and class a sweep point can look up, by module and name."""
     return {(module.__name__, name): value
@@ -150,7 +142,7 @@ def _pool_size(spec: SweepSpec, points: int) -> int:
               for dr in spec.dr_aliases for payload in spec.payload_bytes)
     if _point_namespace() != _AS_DEFINED:
         return 1
-    return min(points, _usable_cpus(), fit)
+    return min(points, engine._usable_cpus(), fit)
 
 
 def sweep(spec: SweepSpec) -> list[ScenarioResult]:

@@ -178,7 +178,8 @@ def generate_schedule(cfg: DeviceConfig, horizon_ms: int,
     So each stream is consumed as a function of its own arrival count
     alone.  Round ``r`` converts gaps ``64 r`` to ``64 r + 63`` of every
     device still inside the horizon, drawing its next block first when the
-    round starts one.  The rounds' columns join into one devices x gaps
+    round starts one; while every device is inside, it converts the draw
+    buffer's slice in place.  The rounds' columns join into one devices x gaps
     table, the horizon standing in the rows of devices already done: the
     arrivals are its entries before the horizon, row by row.
     """
@@ -194,9 +195,12 @@ def generate_schedule(cfg: DeviceConfig, horizon_ms: int,
         if lane == 0:
             for device in active.tolist():
                 rngs[device].standard_exponential(out=buf[device])
-        times = _arrival_times(buf[active, lane:lane + _ROUND], mean, carry)
-        columns = np.full((len(rngs), _ROUND), horizon_ms, dtype=np.int64)
-        columns[active] = times
+        if active.size == len(rngs):   # every row: converted in place, and its own columns
+            times = columns = _arrival_times(buf[:, lane:lane + _ROUND], mean, carry)
+        else:
+            times = _arrival_times(buf[active, lane:lane + _ROUND], mean, carry)
+            columns = np.full((len(rngs), _ROUND), horizon_ms, dtype=np.int64)
+            columns[active] = times
         rounds.append(columns)
         full = times[:, -1] < horizon_ms
         active, carry = active[full], times[full, -1]

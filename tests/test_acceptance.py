@@ -13,9 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from lorae_sim.engine import hop_hash_array, run, slot_table
-from lorae_sim.experiments import (CrossoverNotFound, SweepSpec, _usable_cpus, aggregate,
-                                   aggregate_capacity, find_crossover, peak_point, sweep)
+from lorae_sim.engine import _usable_cpus, hop_hash_array, run, slot_table
+from lorae_sim.experiments import (CrossoverNotFound, SweepSpec, aggregate, aggregate_capacity,
+                                   find_crossover, peak_point, sweep)
 from lorae_sim.params import (EU868, SEED_COUNT, US915, dr_profile, lorae_fragment_count,
                               lorae_time_on_air, regional_plan)
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -37,11 +38,12 @@ def _scenario(dr: str, payload: int, devices: int, horizon_ms: int,
 def _run_drawn(monkeypatch, scenario: Scenario, starts: list[int], seeds: list[int],
                grids: list[int]):
     """Run ``scenario`` on hand-set packet draws; return the result and one
-    (key, start, length) triple per call of the collision sweep."""
+    (key, start, length) triple per call of the collision sweep, copied
+    because a run lays out every grid in the same buffers."""
     laid_out = []
 
     def collide(key, start, length, **kwargs):
-        laid_out.append((key, start, length))
+        laid_out.append((key.copy(), start.copy(), length.copy()))
         return _collide_arrays(key, start, length, **kwargs)
 
     monkeypatch.setattr(engine, "_draw_packets", lambda _: (
@@ -121,11 +123,11 @@ def test_us915_draws_equal_oracle(seed):
 # to ``tracemalloc``, so a peak counts the live arrays and nothing of the
 # heap layout, and a few bytes a packet of regression show.
 LIVE_DRAWS = [   # (region, dr, devices, hours, measured B a packet: draws, run)
-    (EU868, "DR8", 2_000, 1, (79.44, 81.58)),
-    (EU868, "DR9", 2_000, 1, (49.73, 56.75)),
-    (EU868, "DR0", 100, 4, (40.04, 42.01)),
-    (EU868, "DR5", 100, 4, (18.14, 38.20)),
-    (US915, "DR5", 50, 1, (32.47, 33.62)),
+    (EU868, "DR8", 2_000, 1, (70.10, 70.11)),
+    (EU868, "DR9", 2_000, 1, (48.95, 48.95)),
+    (EU868, "DR0", 100, 4, (36.76, 36.80)),
+    (EU868, "DR5", 100, 4, (18.14, 35.02)),
+    (US915, "DR5", 50, 1, (32.47, 32.48)),
 ]
 
 
@@ -167,9 +169,12 @@ def test_draws_need_less_memory_than_bytes_per_packet(region, dr, devices, hours
     # The draws are the first part of a run's peak: theirs and the whole
     # run's stay at their recorded values, and the whole run's fits in the
     # estimate.  Without the schedule's early release of its draw buffer
-    # EU868 DR8, DR9 and DR0 exceed their draws' values, and without that of
-    # its rounds DR0 and DR5 do; with an int64 index row in the collision
-    # kernel every EU868 row exceeds its run's value.
+    # EU868 DR8, DR9 and DR0 exceed their draws' values, without that of
+    # its rounds DR0 and DR5 do, and without its in-place conversion of
+    # rounds where every device is active DR8 and DR0 do.  When ``run``
+    # keeps a reference to the draws through the grid phase, every row
+    # exceeds its run's value; with an int64 index row in the collision
+    # kernel EU868 DR8 does.
     scenario = _live_scenario(region, dr, devices, hours)
     draws, whole = _live_peaks(scenario)
     assert draws <= measured[0] + 1
@@ -672,7 +677,7 @@ def test_each_collision_call_holds_one_grid(monkeypatch):
     calls = []
 
     def collide(key, start, length, **kwargs):
-        calls.append(start)
+        calls.append(start.copy())   # the run's buffer, overwritten by the next grid
         return _collide_arrays(key, start, length, **kwargs)
 
     monkeypatch.setattr(engine, "_collide_arrays", collide)
@@ -685,6 +690,70 @@ def test_each_collision_call_holds_one_grid(monkeypatch):
         assert em_start[:per_grid[grid]].tolist() == start[grids == grid].tolist()
     assert sum(c.size for c in calls) == start.size * hops == result.generated_packets * hops
     assert max(c.size for c in calls) == per_grid.max() * hops
+
+
+@pytest.mark.parametrize("region, dr, devices, hours, cpus, threads", [
+    (US915, "DR5", 200, 1, 2, 2),     # 16 emissions a packet on 52 grids
+    (US915, "DR5", 200, 1, 1, 1),
+    (EU868, "DR8", 9_000, 1, 2, 1),   # on 8 grids a thread's buffers outweigh the freed draws
+    (EU868, "DR9", 5_000, 1, 2, 1),
+    (EU868, "DR0", 100, 4, 2, 1),     # LoRa: one grid
+])
+def test_grid_threads_are_paid_for_by_freed_draws(monkeypatch, region, dr, devices, hours,
+                                                  cpus, threads):
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+    counts, rule = [], engine._grid_threads
+    monkeypatch.setattr(engine, "_grid_threads", lambda *args: counts.append(rule(*args))
+                        or counts[-1])
+    run(_scenario(dr, 10, devices, hours * 3_600_000, seed=1, region=region))
+    assert counts == [threads]
+
+
+def test_grid_threads_never_exceed_usable_cpus_or_grids(monkeypatch):
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
+    assert engine._grid_threads(52, 10 ** 9, 1) == 3
+    assert engine._grid_threads(2, 10 ** 9, 1) == 2
+    assert engine._grid_threads(52, 999, 1_000) == 1
+    assert engine._grid_threads(52, 1_000, 1_000) == 2
+    assert engine._grid_threads(0, 0, 0) == 1
+
+
+@pytest.mark.parametrize("region, dr, devices, hours", [
+    (EU868, "DR8", 500, 1), (EU868, "DR0", 50, 4), (US915, "DR5", 50, 1)])
+def test_one_thread_and_several_give_equal_results(monkeypatch, region, dr, devices, hours):
+    # The grids' counts add up in any order, so the thread count (forced
+    # here, past what the rule allows and past the CPUs) changes no field
+    # of the result, and every thread a run starts has ended when it
+    # returns.  A short switch interval interleaves the threads' takes of
+    # the shared grids: a grid lost or taken twice would change the counts.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for seed in (0, 1):
+            scenario = _scenario(dr, 10, devices, hours * 3_600_000, seed, region)
+            results = []
+            for threads in (1, 2, 5):
+                monkeypatch.setattr(engine, "_grid_threads", lambda *_: threads)
+                before = threading.active_count()
+                results.append(dataclasses.asdict(run(scenario)))
+                assert threading.active_count() == before
+            assert results[0] == results[1] == results[2]
+            assert 0 < results[0]["decoded_packets"] < results[0]["generated_packets"]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_an_error_in_any_grid_thread_reaches_the_caller(monkeypatch):
+    # A seed outside the hopping domain on the last grid: whichever thread
+    # takes that grid raises, and the run raises it once every thread ended.
+    scenario = _scenario("DR5", 10, 1, 3_600_000, seed=0, region=US915)
+    grids = list(range(52)) * 4
+    seeds = [7] * (len(grids) - 1) + [engine.SEED_COUNT]
+    monkeypatch.setattr(engine, "_grid_threads", lambda *_: 2)
+    before = threading.active_count()
+    with pytest.raises(IndexError, match=f"index {engine.SEED_COUNT} is out of bounds"):
+        _run_drawn(monkeypatch, scenario, list(range(0, 1000 * len(grids), 1000)), seeds, grids)
+    assert threading.active_count() == before
 
 
 def test_memory_guard_refuses_before_drawing(monkeypatch):

@@ -135,11 +135,12 @@ def _pool_sizes(monkeypatch, pool=_RecordingPool) -> list[int]:
 
 
 def test_usable_cpus_follows_affinity(monkeypatch):
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {3}, raising=False)
-    assert experiments._usable_cpus() == 1
-    monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 6)
-    assert experiments._usable_cpus() == 6
+    # One count for the sweep pool and a run's grid threads.
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert engine._usable_cpus() == 1
+    monkeypatch.delattr(engine.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 6)
+    assert engine._usable_cpus() == 6
 
 
 def test_pooled_sweep_equals_per_point_runs(monkeypatch):

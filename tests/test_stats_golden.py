@@ -23,8 +23,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from statistics import NormalDist, mean, stdev
 
-from lorae_sim.engine import Outcome, run
-from lorae_sim.experiments import _usable_cpus, build_scenario
+from lorae_sim.engine import Outcome, _usable_cpus, run
+from lorae_sim.experiments import build_scenario
 
 from test_results_golden import CASES as BYTE_CASES
 
