@@ -208,7 +208,7 @@ def _with_config(commands: dict[str, argparse.ArgumentParser], argv: list[str]) 
     """``argv`` with its --config file's lines as flags ahead of its own."""
     if not argv or argv[0] not in commands:
         return argv
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = _Parser(add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv[1:])[0].config
     if path is None:

@@ -14,9 +14,11 @@ fragments; a LoRa packet is one emission, its own header, with threshold 0.
 The layout, the decoding and the memory estimate all read the template, on
 one path for both families: LoRa is one grid of one carrier, and one hop.
 
-``run`` works grid by grid.  Grids share no sub-carrier, so packets on
-different grids never collide: the packets are grouped by grid once, each
-keeping only its start and its seed, and each grid's emissions are laid
+A run works grid by grid, in ``_run_lorae``.  Grids share no sub-carrier,
+so packets on different grids never collide: the packets are grouped by
+grid once, each keeping only its start and its seed, and the per-packet
+draws, which only ``_run_lorae``'s own frame ever holds, are freed there,
+on any Python and under any wrapper.  Each grid's emissions are laid
 out as one hop-major (hops x packets) block, collided and decoded on their
 own.  A seed has only ``SEED_COUNT`` values, so a run takes every seed's
 hop slots once, as one narrow (hops x seeds) ``slot_table``, and a grid
@@ -334,17 +336,11 @@ def run(scenario: Scenario) -> ScenarioResult:
 
     Raises ``check_memory``'s error before drawing anything.  Every packet
     drawn counts as generated, so outcomes that miss one fail the result's
-    check.  The draws are popped into ``_run_lorae``'s call, so no reference
-    to them stays here and it can free them once it has grouped them by grid
-    (CPython 3.11 and later hand a call's arguments over to the callee).
+    check.  The packet draws never reach this frame: ``_run_lorae`` draws
+    them into its own and frees them before its grid phase.
     """
     check_memory(scenario)
-    template = _packet_template(scenario.profile, scenario.payload_bytes)
-    draws = list(_draw_packets(scenario))
-    generated = draws[0].size
-    decoded, lost_header, lost_payload = _run_lorae(
-        draws.pop(0), draws.pop(0), draws.pop(0), template,
-        scenario.plan.carriers_per_grid).tolist()
+    generated, decoded, lost_header, lost_payload = _run_lorae(scenario)
     header = Outcome.LOST_COLLISION if scenario.profile.family == LORA else Outcome.LOST_HEADER
     losses = {header: lost_header, Outcome.LOST_PAYLOAD: lost_payload}
     per_hour = 3_600_000 / scenario.horizon_ms
@@ -381,20 +377,21 @@ def _grid_threads(grids: int, freed: int, thread_bytes: int) -> int:
     return max(1, min(_usable_cpus(), grids, 1 + freed // max(thread_bytes, 1)))
 
 
-def _run_lorae(start: np.ndarray, seeds: np.ndarray, grids: np.ndarray, template: _Template,
-               carriers_per_grid: int) -> np.ndarray:
-    """Collide and decode the packets of either family, grid by grid, on threads.
+def _run_lorae(scenario: Scenario) -> tuple[int, int, int, int]:
+    """Generated, decoded, lost-header and lost-payload counts of ``scenario``,
+    either family: its packets drawn, collided and decoded grid by grid, on threads.
 
     Grids share no carrier, so a packet can only collide with packets of
-    its own grid.  The hop slots of all ``SEED_COUNT`` seeds come from one
-    ``slot_table`` call, a (hops, seeds) table in a narrow unsigned dtype;
-    emission starts and lengths, and the grid numbers the packets are
-    stably sorted by, take the narrowest dtype that holds their largest
-    value.  The packets are grouped by grid once: each keeps its start, in
-    that narrow dtype, and its seed, and the draws and the sort order are
-    let go of (the int64 starts are freed when the caller kept no
-    reference, as ``run`` does).  The sort is skipped when every packet is
-    on grid 0 (so always for LoRa: one grid of one carrier, one hop).
+    its own grid.  After the draws, the hop slots of all ``SEED_COUNT``
+    seeds come from one ``slot_table`` call, a (hops, seeds) table in a
+    narrow unsigned dtype; emission starts and lengths, and the grid
+    numbers the packets are stably sorted by, take the narrowest dtype that
+    holds their largest value.  The packets are grouped by grid once: each
+    keeps its start, in that narrow dtype, and its seed, and the draws and
+    the sort order are let go of.  Only this frame holds the draws, so they
+    are freed before the grid phase on any Python and under any wrapper of
+    this function.  The sort is skipped when every packet is on grid 0 (so
+    always for LoRa: one grid of one carrier, one hop).
 
     Each non-empty grid lays out its hop-major (hops, packets) keys, starts
     and template lengths in a thread's buffers, makes one collision call in
@@ -406,8 +403,9 @@ def _run_lorae(start: np.ndarray, seeds: np.ndarray, grids: np.ndarray, template
 
     The gather raises ``IndexError`` for a seed outside [0, SEED_COUNT).
     """
-    offsets, durs, n_head, threshold = template
-    table = slot_table(len(durs), carriers_per_grid)
+    offsets, durs, n_head, threshold = _packet_template(scenario.profile, scenario.payload_bytes)
+    start, seeds, grids = _draw_packets(scenario)
+    table = slot_table(len(durs), scenario.plan.carriers_per_grid)
     time_dtype = np.min_scalar_type(int(start.max(initial=0)) + int(offsets[-1]))
     offsets, durs = offsets.astype(time_dtype), durs.astype(np.min_scalar_type(int(durs.max())))
     held = start.nbytes + seeds.nbytes + grids.nbytes
@@ -448,8 +446,8 @@ def _run_lorae(start: np.ndarray, seeds: np.ndarray, grids: np.ndarray, template
                             sum(b.nbytes for b in sets[0]))
     sets += [buffer_set() for _ in range(threads - 1)]
     if threads == 1:
-        return collide(sets[0])
+        return (start.size, *collide(sets[0]).tolist())
     from concurrent.futures import ThreadPoolExecutor   # kept out of the package's import time
     with ThreadPoolExecutor(threads - 1) as pool:
         others = pool.map(collide, sets[1:])   # started before this thread takes its share
-        return collide(sets[0]) + sum(others)
+        return (start.size, *(collide(sets[0]) + sum(others)).tolist())

@@ -140,6 +140,14 @@ def test_config_rejects_malformed_line(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+def test_config_without_a_value_returns_2(capsys):
+    # The --config pre-parse raises like the main parser: ``main`` sets the
+    # status and prints one error line, with no usage text.
+    assert main(["sweep", "--config"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: argument --config: expected one argument"]
+
+
 def test_config_is_read_as_utf8_under_any_locale(tmp_path):
     # Under the C locale without UTF-8 mode the default text encoding is ASCII.
     config = tmp_path / "run.cfg"
