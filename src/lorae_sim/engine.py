@@ -27,11 +27,13 @@ start, length) from the template to the collision kernel, each in the
 narrowest dtype that holds it, and the kernel works in a two-row int64
 buffer.  The grids are shared among threads, each with its own buffers
 for the busiest grid, allocated once a run; a thread beyond the first
-runs only where the bytes the grouping frees pay for its buffers
-(``_grid_threads``), so threads never raise a run's peak memory: the
-larger of the per-packet draws and of the grouped packets plus the
-threads' buffers.  Before drawing, ``run`` refuses a scenario whose
-expected packets would not fit in physical memory (``check_memory``).
+runs only where the bytes the grouping frees pay for its buffers and the
+scratch it allocates per grid (``_grid_threads``), so threads never raise
+a run's peak memory: the larger of the per-packet draws and of the
+grouped packets plus the threads' buffers.  US915 DR5 gets two threads
+on two or more CPUs, EU868 DR8, DR9 and LoRa one.  Before drawing,
+``run`` refuses a scenario whose expected packets would not fit in
+physical memory (``check_memory``).
 
 Draws: each packet's start, hopping seed and grid come from its device's
 stream in ``traffic``, a block of devices at a time.
@@ -42,6 +44,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -87,8 +90,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.devices:
             raise ScenarioConfigError("scenario needs at least one device")
-        if self.horizon_ms <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon_ms}")
+        if not isinstance(self.horizon_ms, numbers.Integral) or self.horizon_ms <= 0:
+            raise ValueError(f"horizon must be a positive integer of ms, got {self.horizon_ms}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         shared = (self.profile, self.payload_bytes, self.plan)
@@ -307,8 +310,8 @@ def bytes_per_packet(scenario: Scenario) -> int:
     A packet of K template emissions on one of G grids adds K / G emissions
     to the grid being collided, plus its share of the draws.  LoRa is the
     case K = G = 1.  The line was fitted to the peak RSS of EU868 DR8, DR9,
-    DR0 and DR5 and of US915 DR5 runs, and every measured peak lies between
-    half of it and it.
+    DR0 and DR5 and of US915 DR5 runs.  Today's runs all peak under it,
+    but it exceeds twice the least peak of every family but US915 DR5.
     """
     _, durations, _, _ = _packet_template(scenario.profile, scenario.payload_bytes)
     return math.ceil(_HOP_DRAW_BYTES + _EMISSION_BYTES * len(durations) / scenario.plan.num_grids)
@@ -371,8 +374,8 @@ def _grid_threads(grids: int, freed: int, thread_bytes: int) -> int:
 
     One per usable CPU, but no more than there are grids, and a thread
     beyond the first only where the ``freed`` bytes the grid phase lets go
-    of pay for its ``thread_bytes`` of buffers, so that no thread raises
-    the run's peak above its one-thread peak.
+    of pay for its ``thread_bytes`` of buffers and scratch, so that no
+    thread raises the run's peak above its one-thread peak.
     """
     return max(1, min(_usable_cpus(), grids, 1 + freed // max(thread_bytes, 1)))
 
@@ -397,9 +400,11 @@ def _run_lorae(scenario: Scenario) -> tuple[int, int, int, int]:
     and template lengths in a thread's buffers, makes one collision call in
     its int64 work buffer and is decoded on its own.  Every thread's
     buffers are sized for the busiest grid and allocated here, before any
-    thread starts; ``_grid_threads`` sets how many threads there are, each
-    taking the next grid not yet taken.  The grids' ``decode`` counts add up,
-    in any order, to those of the whole scenario.
+    thread starts; ``_grid_threads`` sets how many threads there are (US915
+    DR5 gets two on two or more CPUs), each taking the next grid not yet
+    taken.  This thread is one of them, so a one-thread run starts none,
+    on the same path.  The grids' ``decode`` counts add up, in any order,
+    to those of the whole scenario.
 
     The gather raises ``IndexError`` for a seed outside [0, SEED_COUNT).
     """
@@ -422,7 +427,8 @@ def _run_lorae(scenario: Scenario) -> tuple[int, int, int, int]:
         del order
     ends = np.cumsum(per_grid).tolist()
     bounds = iter([(end - count, end) for end, count in zip(ends, per_grid.tolist()) if count])
-    emissions = int(per_grid.max()) * len(durs)
+    busiest = int(per_grid.max())
+    emissions = busiest * len(durs)
 
     def buffer_set() -> tuple[np.ndarray, ...]:
         return (np.empty((2, emissions), dtype=np.int64), np.empty(emissions, dtype=table.dtype),
@@ -442,12 +448,15 @@ def _run_lorae(scenario: Scenario) -> tuple[int, int, int, int]:
         return counts
 
     sets = [buffer_set()]
+    # Beside its buffers, a thread allocates per grid the kernel's index row,
+    # gathered lengths and two flag rows, and ``take``'s intp seeds and copy of ``out``.
+    scratch = (emissions * (np.min_scalar_type(-emissions).itemsize + durs.itemsize
+                            + table.itemsize + 2) + busiest * np.dtype(np.intp).itemsize)
     threads = _grid_threads(np.count_nonzero(per_grid), held - start.nbytes - seeds.nbytes,
-                            sum(b.nbytes for b in sets[0]))
+                            sum(b.nbytes for b in sets[0]) + scratch)
     sets += [buffer_set() for _ in range(threads - 1)]
-    if threads == 1:
-        return (start.size, *collide(sets[0]).tolist())
     from concurrent.futures import ThreadPoolExecutor   # kept out of the package's import time
-    with ThreadPoolExecutor(threads - 1) as pool:
+    # A pool starts a worker only per task it is handed, so one buffer set starts none.
+    with ThreadPoolExecutor(threads) as pool:
         others = pool.map(collide, sets[1:])   # started before this thread takes its share
         return (start.size, *(collide(sets[0]) + sum(others)).tolist())

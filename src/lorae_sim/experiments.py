@@ -19,6 +19,7 @@ LoRa, which gets one scenario per DR).
 from __future__ import annotations
 
 import itertools
+import numbers
 import sys
 import zlib
 from dataclasses import dataclass
@@ -56,8 +57,8 @@ class SweepSpec:
             raise ValueError("device_counts must be non-empty and positive")
         if not self.dr_aliases or not self.payload_bytes:
             raise ValueError("dr_aliases and payload_bytes must be non-empty")
-        if self.horizon_ms <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon_ms}")
+        if not isinstance(self.horizon_ms, numbers.Integral) or self.horizon_ms <= 0:
+            raise ValueError(f"horizon must be a positive integer of ms, got {self.horizon_ms}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         for name, values in (("dr_aliases", self.dr_aliases),

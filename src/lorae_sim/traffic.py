@@ -30,6 +30,7 @@ exactly the values ``Generator.integers`` would draw.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -183,8 +184,8 @@ def generate_schedule(cfg: DeviceConfig, horizon_ms: int,
     table, the horizon standing in the rows of devices already done: the
     arrivals are its entries before the horizon, row by row.
     """
-    if horizon_ms <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon_ms}")
+    if not isinstance(horizon_ms, numbers.Integral) or horizon_ms <= 0:
+        raise ValueError(f"horizon must be a positive integer of ms, got {horizon_ms}")
     mean = cfg.mean_interarrival_ms
     active = np.arange(len(rngs))
     carry = np.zeros(len(rngs), dtype=np.int64)

@@ -163,12 +163,15 @@ def measure_live_draws() -> list[tuple[str, str, int, int, tuple[float, float]]]
             for row in LIVE_DRAWS]
 
 
-@pytest.mark.parametrize("region, dr, devices, hours, measured, wrapped",
-                         [(*row, wrapped) for wrapped in (False, True) for row in LIVE_DRAWS],
-                         ids=[f"{r}-{dr}-{n}" + "-wrapped" * wrapped
-                              for wrapped in (False, True) for r, dr, n, _, _ in LIVE_DRAWS])
+_LIVE_VARIANTS = ("", "-wrapped", "-8cpus")
+
+
+@pytest.mark.parametrize("region, dr, devices, hours, measured, variant",
+                         [(*row, v) for v in _LIVE_VARIANTS for row in LIVE_DRAWS],
+                         ids=[f"{r}-{dr}-{n}{v}"
+                              for v in _LIVE_VARIANTS for r, dr, n, _, _ in LIVE_DRAWS])
 def test_draws_need_less_memory_than_bytes_per_packet(monkeypatch, region, dr, devices, hours,
-                                                      measured, wrapped):
+                                                      measured, variant):
     # The draws are the first part of a run's peak: theirs and the whole
     # run's stay at their recorded values, and the whole run's fits in the
     # estimate.  Without the schedule's early release of its draw buffer
@@ -179,10 +182,14 @@ def test_draws_need_less_memory_than_bytes_per_packet(monkeypatch, region, dr, d
     # row exceeds its run's value, so the wrapped cases call it through an
     # ``*args`` wrapper, as the benchmark's tracer does: such a wrapper
     # would hold draws passed in as arguments.  With an int64 index row in
-    # the collision kernel EU868 DR8 exceeds it.
-    if wrapped:
+    # the collision kernel EU868 DR8 exceeds it.  On 8 CPUs the thread rule
+    # must still count each thread's scratch besides its buffers: without
+    # that, US915 DR5 gets a third thread and exceeds its run's value.
+    if variant == "-wrapped":
         layout = engine._run_lorae
         monkeypatch.setattr(engine, "_run_lorae", lambda *args, **kwargs: layout(*args, **kwargs))
+    if variant == "-8cpus":
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 8)
     scenario = _live_scenario(region, dr, devices, hours)
     draws, whole = _live_peaks(scenario)
     assert draws <= measured[0] + 1
@@ -578,6 +585,13 @@ def test_scenario_rejects_a_last_device_that_differs(profile, payload, plan):
         Scenario((*shared, DeviceConfig(4, profile, payload, plan)), 3_600_000, 0)
 
 
+def test_scenario_rejects_a_non_integer_horizon():
+    devices = build_scenario(US915, "DR5", 10, 5, 200_000, 3).devices
+    with pytest.raises(ValueError, match="horizon must be a positive integer of ms, got 200000.5"):
+        Scenario(devices, 200_000.5, 3)
+    assert run(Scenario(devices, np.int64(200_000), 3)) == run(Scenario(devices, 200_000, 3))
+
+
 def test_scenario_accepts_equal_copies_of_profile_and_plan():
     # Devices share a data rate and plan by equality, not by object identity.
     shared = build_scenario(US915, "DR5", 10, 5, 30_000, 4)
@@ -704,6 +718,7 @@ def test_each_collision_call_holds_one_grid(monkeypatch):
 @pytest.mark.parametrize("region, dr, devices, hours, cpus, threads", [
     (US915, "DR5", 200, 1, 2, 2),     # 16 emissions a packet on 52 grids
     (US915, "DR5", 200, 1, 1, 1),
+    (US915, "DR5", 200, 1, 8, 2),     # a third thread's buffers and scratch outweigh the draws
     (EU868, "DR8", 9_000, 1, 2, 1),   # on 8 grids a thread's buffers outweigh the freed draws
     (EU868, "DR9", 5_000, 1, 2, 1),
     (EU868, "DR0", 100, 4, 2, 1),     # LoRa: one grid
@@ -750,6 +765,18 @@ def test_one_thread_and_several_give_equal_results(monkeypatch, region, dr, devi
             assert 0 < results[0]["decoded_packets"] < results[0]["generated_packets"]
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_a_one_thread_run_collides_on_the_calling_thread_alone(monkeypatch):
+    # One grid thread takes the pool path too, and the pool starts no worker.
+    alive, kernel = [], engine._collide_arrays
+    monkeypatch.setattr(engine, "_collide_arrays", lambda *args, **kwargs: alive.append(
+        (threading.current_thread(), threading.active_count())) or kernel(*args, **kwargs))
+    monkeypatch.setattr(engine, "_grid_threads", lambda *_: 1)
+    before = threading.active_count()
+    run(_scenario("DR5", 10, 20, 600_000, seed=0, region=US915))
+    assert len(alive) > 1
+    assert set(alive) == {(threading.current_thread(), before)}
 
 
 def test_an_error_in_any_grid_thread_reaches_the_caller(monkeypatch):
@@ -902,8 +929,8 @@ def test_memory_guard_compares_bytes_with_physical_memory(monkeypatch):
 
 _HOUR = 3_600_000
 # Peak RSS per packet as ``measure_peaks`` measures it.  The recorded rows
-# predate the kernel taking emission lengths; ROADMAP item 13 holds a later,
-# lower run whose LoRa rows fall below half of ``bytes_per_packet``.
+# predate the kernel taking emission lengths; ROADMAP item 19 holds later,
+# lower runs, all but US915 DR5's below half of ``bytes_per_packet``.
 PEAKS = [   # (region, dr, (devices, horizon ms) of each run, measured B a packet)
     (EU868, "DR8", ((20_000, _HOUR), (40_000, _HOUR)), (114.3, 122.4)),
     (EU868, "DR9", ((20_000, _HOUR), (40_000, _HOUR)), (75.6, 80.4)),

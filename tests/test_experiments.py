@@ -46,6 +46,12 @@ def test_sweep_spec_validation():
         _spec(master_seed=-1)
 
 
+def test_sweep_spec_rejects_a_non_integer_horizon():
+    with pytest.raises(ValueError, match="horizon must be a positive integer of ms, got 200000.5"):
+        _spec(horizon_ms=200_000.5)
+    assert _spec(horizon_ms=np.int64(200_000)).horizon_ms == 200_000
+
+
 @pytest.mark.parametrize("field, values, repeated", [
     ("dr_aliases", ("DR0", "DR0"), "'DR0'"),
     ("payload_bytes", (10, 20, 10), "10"),

@@ -126,6 +126,12 @@ def test_fragment_durations_sum_and_pitch():
     assert lorae_coded_bits(profile, 10) == (10 + 2) * 8 * 3 + 6 * 3
 
 
+@pytest.mark.parametrize("dr", ["DR0", "DR8"])
+def test_airtime_rejects_a_non_integer_payload(dr):
+    with pytest.raises(PayloadSizeError, match="whole number of bytes, got 10.5"):
+        params.time_on_air(dr_profile(EU868, dr), 10.5)
+
+
 def test_lorae_payload_bounds():
     with pytest.raises(PayloadSizeError):
         lorae_fragment_count(dr_profile(EU868, "DR8"), 59)

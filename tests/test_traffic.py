@@ -8,7 +8,7 @@ from scipy import stats
 
 from lorae_sim import traffic
 from lorae_sim.engine import _DRAW_DEVICES
-from lorae_sim.params import EU868, US915, dr_profile, regional_plan
+from lorae_sim.params import EU868, US915, PayloadSizeError, dr_profile, regional_plan
 from lorae_sim.traffic import DeviceConfig, device_streams, generate_schedule
 
 import oracles
@@ -231,6 +231,26 @@ def test_tiny_horizon_gives_empty_schedule():
     assert generate_schedule(cfg, 1, device_streams(0, 0, 1)).start_times.size == 0
     with pytest.raises(ValueError):
         generate_schedule(cfg, 0, device_streams(0, 0, 1))
+
+
+def test_schedule_rejects_a_non_integer_horizon():
+    # A fractional horizon would be truncated where finished devices are
+    # filled in, and those fillers would then count as arrivals.
+    with pytest.raises(ValueError, match="horizon must be a positive integer of ms, got 200000.5"):
+        generate_schedule(_config(), 200_000.5, device_streams(0, 0, 3))
+    counts = generate_schedule(_config(), np.int64(200_000), device_streams(0, 0, 3)).counts
+    assert counts.tolist() == generate_schedule(_config(), 200_000, device_streams(0, 0, 3)
+                                                ).counts.tolist()
+
+
+@pytest.mark.parametrize("payload", [10.5, 10.0])
+@pytest.mark.parametrize("dr", ["DR0", "DR8"])
+def test_device_config_rejects_a_non_integer_payload(dr, payload):
+    # Both families: LoRa would model a fractional payload, LoRa-E would
+    # fail later with a TypeError in its fragment durations.
+    with pytest.raises(PayloadSizeError, match=f"whole number of bytes, got {payload}"):
+        _config(dr, payload)
+    assert _config(dr, np.int64(10)).time_on_air_ms == _config(dr, 10).time_on_air_ms
 
 
 def test_adding_devices_leaves_existing_streams_alone():
