@@ -16,24 +16,29 @@ one path for both families: LoRa is one grid of one carrier, and one hop.
 
 A run works grid by grid, in ``_run_lorae``.  Grids share no sub-carrier,
 so packets on different grids never collide: the packets are grouped by
-grid once, each keeping only its start and its seed, and the per-packet
-draws, which only ``_run_lorae``'s own frame ever holds, are freed there,
-on any Python and under any wrapper.  Each grid's emissions are laid
-out as one hop-major (hops x packets) block, collided and decoded on their
-own.  A seed has only ``SEED_COUNT`` values, so a run takes every seed's
-hop slots once, as one narrow (hops x seeds) ``slot_table``, and a grid
-gathers its packets' slot columns from it.  An emission is (carrier key,
-start, length) from the template to the collision kernel, each in the
-narrowest dtype that holds it, and the kernel works in a two-row int64
-buffer.  The grids are shared among threads, each with its own buffers
-for the busiest grid, allocated once a run; a thread beyond the first
-runs only where the bytes the grouping frees pay for its buffers and the
-scratch it allocates per grid (``_grid_threads``), so threads never raise
-a run's peak memory: the larger of the per-packet draws and of the
-grouped packets plus the threads' buffers.  US915 DR5 gets two threads
-on two or more CPUs, EU868 DR8, DR9 and LoRa one.  Before drawing,
-``run`` refuses a scenario whose expected packets would not fit in
-physical memory (``check_memory``).
+grid once and sorted by start within it, each keeping only its start and
+its seed, and the per-packet draws, which only ``_run_lorae``'s own frame
+ever holds, are freed there, on any Python and under any wrapper.  A
+packet's emissions all lie within one airtime of its start, so a grid is
+collided in time windows: a core run of packets of at most
+``_WINDOW_EMISSIONS`` emissions, with the packets that start less than
+one airtime before or after it as its halo, gives exact flags for the
+core, and only the core is decoded.  Each window's emissions are laid out
+as one hop-major (hops x packets) block and collided on their own.  A
+seed has only ``SEED_COUNT`` values, so a run takes every seed's hop slots
+once, as one narrow (hops x seeds) ``slot_table``, and a window gathers
+its packets' slot columns from it.  An emission is (carrier key, start,
+length) from the template to the collision kernel, each in the narrowest
+dtype that holds it, and the kernel works in a two-row int64 buffer.  The
+windows are shared among threads, each with its own buffers for the
+largest window, allocated once a run; a thread beyond the first runs only
+where the bytes the grouping frees pay for its buffers and the scratch it
+allocates per window (``_grid_threads``), so threads never raise a run's
+peak memory: the larger of the per-packet draws and of the grouped
+packets plus the threads' buffers.  US915 DR5 and EU868 DR8 and DR9 at
+their goodput peaks get two threads on two CPUs, LoRa one.  Before
+drawing, ``_run_lorae`` refuses a scenario whose expected packets would
+not fit in physical memory (``check_memory``).
 
 Draws: each packet's start, hopping seed and grid come from its device's
 stream in ``traffic``, a block of devices at a time.
@@ -55,6 +60,7 @@ from .params import HEADER_MS, SEED_COUNT, lorae_fragment_durations, lora_time_o
 from .traffic import DeviceConfig, device_streams, generate_schedule, hop_draws
 
 _DRAW_DEVICES = 1024                 # devices per block of streams, schedules and hop draws
+_WINDOW_EMISSIONS = 2 ** 16          # emissions of a window's core run of packets
 _EMISSION_BYTES = 64                 # peak RSS per emission of the grid being collided
 _HOP_DRAW_BYTES = 28                 # and per packet: its draws and their grid split
 _Template = tuple[np.ndarray, np.ndarray, int, int]   # offsets, durations, n_head, threshold
@@ -231,6 +237,27 @@ def slot_table(n_hops: int, carriers_per_grid: int) -> np.ndarray:
     return slots
 
 
+def _sort_packed(key: np.ndarray, start: np.ndarray, span: int, out: np.ndarray) -> int:
+    """Fill ``out`` with ``(key * span + start) << bits | index``, sorted, and
+    return ``bits``, the width of the index field.
+
+    One in-place sort of the packed values gives the stable (key, start)
+    order of the n items; ``span`` exceeds every start.  The index row is
+    of the narrowest signed dtype that holds n.  Raises ``ValueError`` when
+    the packed values would not fit in int64.
+    """
+    n = key.size
+    bits = n.bit_length()
+    if (int(key.max()) + 1) * span << bits >= 2 ** 63:
+        raise ValueError(f"{n} emissions over a {span} ms span do not pack into int64")
+    np.multiply(key, span, out=out, dtype=np.int64)
+    out += start
+    out <<= bits
+    out |= np.arange(n, dtype=np.min_scalar_type(-n))
+    out.sort()
+    return bits
+
+
 def _collide_arrays(key: np.ndarray, start: np.ndarray, length: np.ndarray, *,
                     work: np.ndarray | None = None) -> np.ndarray:
     """Exact all-pairs overlap flags of (carrier key, start, length) emissions.
@@ -240,13 +267,13 @@ def _collide_arrays(key: np.ndarray, start: np.ndarray, length: np.ndarray, *,
     emission moves onto one number line at ``key * span + start`` with
     ``span = max(start) + max(length) + 1``, so emissions on different
     carriers never overlap there and "same carrier and overlapping" becomes
-    plain interval overlap.  The emission index sits in the low bits of each
-    line position, ORed in from an index row of the narrowest signed dtype
-    that holds it, so one in-place sort of the packed values gives the
-    stable (key, start) order.  An emission overlaps an earlier one iff it
-    starts before the furthest end seen so far, and a later one iff the
-    next start falls before its end; a line end shifted up by the index
-    bits compares with the packed starts as the end itself would.
+    plain interval overlap.  ``_sort_packed`` puts the emission index in the
+    low bits of each line position and sorts the packed values in place,
+    which gives the stable (key, start) order.  An emission overlaps an
+    earlier one iff it starts before the furthest end seen so far, and a
+    later one iff the next start falls before its end; a line end shifted
+    up by the index bits compares with the packed starts as the end itself
+    would.
 
     The kernel works in ``work``, an int64 buffer of at least ``(2, n)``
     for n emissions, allocated here when not given, and reads nothing past
@@ -259,19 +286,11 @@ def _collide_arrays(key: np.ndarray, start: np.ndarray, length: np.ndarray, *,
     n = key.size
     if n == 0:
         return np.zeros(0, dtype=bool)
-    span = int(start.max()) + int(length.max()) + 1
-    bits = n.bit_length()
-    if (int(key.max()) + 1) * span << bits >= 2 ** 63:
-        raise ValueError(f"{n} emissions over a {span} ms span do not pack into int64")
     if work is None:
         work = np.empty((2, n), dtype=np.int64)
     packed, line = work[0, :n], work[1, :n]
+    bits = _sort_packed(key, start, int(start.max()) + int(length.max()) + 1, packed)
     low = (1 << bits) - 1
-    np.multiply(key, span, out=packed, dtype=np.int64)
-    packed += start
-    packed <<= bits
-    packed |= np.arange(n, dtype=np.min_scalar_type(-n))
-    packed.sort()
     np.bitwise_and(packed, low, out=line)             # sorted indices
     sorted_length = length[line]
     np.right_shift(packed, bits, out=line)            # line starts, ascending
@@ -304,27 +323,31 @@ def decode(collided: np.ndarray, n_head: int, threshold: int) -> np.ndarray:
     return np.array([n_decoded, n_deaf, deaf.size - n_deaf - n_decoded])
 
 
-def bytes_per_packet(scenario: Scenario) -> int:
+def bytes_per_packet(scenario: Scenario, template: _Template | None = None) -> int:
     """Peak memory a run of ``scenario`` is expected to need per packet.
 
     A packet of K template emissions on one of G grids adds K / G emissions
     to the grid being collided, plus its share of the draws.  LoRa is the
     case K = G = 1.  The line was fitted to the peak RSS of EU868 DR8, DR9,
-    DR0 and DR5 and of US915 DR5 runs.  Today's runs all peak under it,
-    but it exceeds twice the least peak of every family but US915 DR5.
+    DR0 and DR5 and of US915 DR5 runs when a whole grid was collided at
+    once.  A LoRa-E grid larger than one window is now collided a window
+    at a time, so the per-emission term over-covers what a run holds then.
+    Today's runs all peak under the line, but it exceeds twice the least
+    peak of every family but US915 DR5.  ``template``, when given, is the
+    scenario's ``_packet_template``, so a run builds it once.
     """
-    _, durations, _, _ = _packet_template(scenario.profile, scenario.payload_bytes)
+    _, durations, _, _ = template or _packet_template(scenario.profile, scenario.payload_bytes)
     return math.ceil(_HOP_DRAW_BYTES + _EMISSION_BYTES * len(durations) / scenario.plan.num_grids)
 
 
-def check_memory(scenario: Scenario) -> int:
+def check_memory(scenario: Scenario, template: _Template | None = None) -> int:
     """How many runs of ``scenario`` physical memory holds at once, at least 1.
 
     Raises ``ScenarioConfigError`` when the expected packet count (offered
     load x horizon) would need more than the machine's physical memory.
     """
     packets = scenario.offered_load_pkts_per_hour() * scenario.horizon_ms / 3_600_000
-    per_packet = bytes_per_packet(scenario)
+    per_packet = bytes_per_packet(scenario, template)
     need = packets * per_packet
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > limit:
@@ -337,12 +360,12 @@ def check_memory(scenario: Scenario) -> int:
 def run(scenario: Scenario) -> ScenarioResult:
     """Simulate one scenario deterministically and return its counters.
 
-    Raises ``check_memory``'s error before drawing anything.  Every packet
-    drawn counts as generated, so outcomes that miss one fail the result's
-    check.  The packet draws never reach this frame: ``_run_lorae`` draws
-    them into its own and frees them before its grid phase.
+    Raises ``check_memory``'s error, from ``_run_lorae``, before drawing
+    anything.  Every packet drawn counts as generated, so outcomes that
+    miss one fail the result's check.  The packet draws never reach this
+    frame: ``_run_lorae`` draws them into its own and frees them before
+    its grid phase.
     """
-    check_memory(scenario)
     generated, decoded, lost_header, lost_payload = _run_lorae(scenario)
     header = Outcome.LOST_COLLISION if scenario.profile.family == LORA else Outcome.LOST_HEADER
     losses = {header: lost_header, Outcome.LOST_PAYLOAD: lost_payload}
@@ -369,66 +392,94 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _grid_threads(grids: int, freed: int, thread_bytes: int) -> int:
-    """Threads that collide a run's ``grids`` non-empty grids.
+def _grid_threads(windows: int, freed: int, thread_bytes: int) -> int:
+    """Threads that collide a run's ``windows`` time windows.
 
-    One per usable CPU, but no more than there are grids, and a thread
+    One per usable CPU, but no more than there are windows, and a thread
     beyond the first only where the ``freed`` bytes the grid phase lets go
     of pay for its ``thread_bytes`` of buffers and scratch, so that no
     thread raises the run's peak above its one-thread peak.
     """
-    return max(1, min(_usable_cpus(), grids, 1 + freed // max(thread_bytes, 1)))
+    return max(1, min(_usable_cpus(), windows, 1 + freed // max(thread_bytes, 1)))
 
 
 def _run_lorae(scenario: Scenario) -> tuple[int, int, int, int]:
     """Generated, decoded, lost-header and lost-payload counts of ``scenario``,
-    either family: its packets drawn, collided and decoded grid by grid, on threads.
+    either family: its packets drawn, collided and decoded window by window, on threads.
 
-    Grids share no carrier, so a packet can only collide with packets of
-    its own grid.  After the draws, the hop slots of all ``SEED_COUNT``
-    seeds come from one ``slot_table`` call, a (hops, seeds) table in a
-    narrow unsigned dtype; emission starts and lengths, and the grid
-    numbers the packets are stably sorted by, take the narrowest dtype that
-    holds their largest value.  The packets are grouped by grid once: each
-    keeps its start, in that narrow dtype, and its seed, and the draws and
-    the sort order are let go of.  Only this frame holds the draws, so they
-    are freed before the grid phase on any Python and under any wrapper of
-    this function.  The sort is skipped when every packet is on grid 0 (so
-    always for LoRa: one grid of one carrier, one hop).
+    The packet template is built once, and ``check_memory`` weighs it
+    before anything is drawn.  Grids share no carrier, so a packet can only
+    collide with packets of its own grid.  After the draws, the hop slots
+    of all ``SEED_COUNT`` seeds come from one ``slot_table`` call, a (hops,
+    seeds) table in a narrow unsigned dtype; emission lengths take the
+    narrowest dtype that holds the longest, and emission starts the
+    narrowest that holds the last ms any emission covers.  The packets
+    are grouped by grid once, by one packed in-place sort on (grid, start):
+    each keeps its start, in that narrow dtype, and its seed, and the draws
+    and the sort order are let go of.  Only this frame holds the draws, so
+    they are freed before the grid phase on any Python and under any
+    wrapper of this function.  The sort is skipped when every packet is on
+    grid 0 (so always for LoRa: one grid of one carrier, one hop), and that
+    grid is one window.
 
-    Each non-empty grid lays out its hop-major (hops, packets) keys, starts
-    and template lengths in a thread's buffers, makes one collision call in
-    its int64 work buffer and is decoded on its own.  Every thread's
-    buffers are sized for the busiest grid and allocated here, before any
-    thread starts; ``_grid_threads`` sets how many threads there are (US915
-    DR5 gets two on two or more CPUs), each taking the next grid not yet
-    taken.  This thread is one of them, so a one-thread run starts none,
-    on the same path.  The grids' ``decode`` counts add up, in any order,
-    to those of the whole scenario.
+    A packet's emissions all lie within ``reach`` ms after its start (its
+    airtime less 1 ms), so two packets whose starts lie more than ``reach``
+    ms apart never collide.  A grid's start-sorted packets split into core
+    runs of at most ``_WINDOW_EMISSIONS // hops`` packets (a smaller grid
+    is one core), and each core is collided with its halo: the grid's
+    packets that start within ``reach`` ms of the core's first and last
+    starts.  Every emission that overlaps a core packet's is then in its
+    window, so the core's flags are exact, and only the core columns are
+    decoded: every packet counts once, and a halo packet's flags, which may
+    miss a neighbour, are dropped.
+
+    Each window lays out its hop-major (hops, packets) keys, starts and
+    template lengths in a thread's buffers, makes one collision call in its
+    int64 work buffer and decodes its core.  Every thread's buffers are
+    sized for the largest window and allocated here, before any thread
+    starts; ``_grid_threads`` sets how many threads there are, each taking
+    the next window not yet taken.  This thread is one of them, so a
+    one-thread run starts none, on the same path.  The windows' ``decode``
+    counts add up, in any order, to those of the whole scenario.
 
     The gather raises ``IndexError`` for a seed outside [0, SEED_COUNT).
     """
-    offsets, durs, n_head, threshold = _packet_template(scenario.profile, scenario.payload_bytes)
+    offsets, durs, n_head, threshold = template = _packet_template(scenario.profile,
+                                                                   scenario.payload_bytes)
+    check_memory(scenario, template)
     start, seeds, grids = _draw_packets(scenario)
     table = slot_table(len(durs), scenario.plan.carriers_per_grid)
-    time_dtype = np.min_scalar_type(int(start.max(initial=0)) + int(offsets[-1]))
+    reach = int(offsets[-1] + durs[-1]) - 1
+    time_dtype = np.min_scalar_type(int(start.max(initial=0)) + reach)
     offsets, durs = offsets.astype(time_dtype), durs.astype(np.min_scalar_type(int(durs.max())))
     held = start.nbytes + seeds.nbytes + grids.nbytes
     start = start.astype(time_dtype)
     top = int(grids.max(initial=0))
     if top == 0:
-        per_grid = np.array([start.size])
+        windows = [(0, 0, start.size, start.size)]
     else:
         per_grid = np.bincount(grids)
-        order = np.argsort(grids.astype(np.min_scalar_type(top)), kind="stable")
+        order = np.empty(start.size, dtype=np.int64)
+        bits = _sort_packed(grids, start, int(start.max()) + 1, order)
+        order &= (1 << bits) - 1
         held += order.nbytes
         del grids
         seeds, start = seeds[order], start[order]
         del order
-    ends = np.cumsum(per_grid).tolist()
-    bounds = iter([(end - count, end) for end, count in zip(ends, per_grid.tolist()) if count])
-    busiest = int(per_grid.max())
-    emissions = busiest * len(durs)
+        core = _WINDOW_EMISSIONS // len(durs)
+        windows = []
+        for end, count in zip(np.cumsum(per_grid).tolist(), per_grid.tolist()):
+            if not count:
+                continue
+            grid = start[end - count:end]
+            a = np.arange(0, count, core)
+            b = np.minimum(a + core, count)
+            lo = np.searchsorted(grid, np.maximum(grid[a], reach) - reach)
+            hi = np.searchsorted(grid, grid[b - 1] + reach, side="right")
+            windows += zip(*((end - count + i).tolist() for i in (lo, a, b, hi)))
+    largest = max(hi - lo for lo, _, _, hi in windows)
+    emissions = largest * len(durs)
+    taken = iter(windows)
 
     def buffer_set() -> tuple[np.ndarray, ...]:
         return (np.empty((2, emissions), dtype=np.int64), np.empty(emissions, dtype=table.dtype),
@@ -437,22 +488,22 @@ def _run_lorae(scenario: Scenario) -> tuple[int, int, int, int]:
     def collide(buffers: tuple[np.ndarray, ...]) -> np.ndarray:
         work, key, em_start, length = buffers
         counts = np.zeros(3, dtype=np.int64)
-        for first, stop in bounds:   # shared by the threads: each grid goes to one of them
-            shape = (len(durs), stop - first)
+        for lo, first, stop, hi in taken:   # shared by the threads: each window goes to one
+            shape = (len(durs), hi - lo)
             n = shape[0] * shape[1]
-            table.take(seeds[first:stop], axis=1, out=key[:n].reshape(shape))
-            np.add(offsets[:, None], start[first:stop], out=em_start[:n].reshape(shape))
+            table.take(seeds[lo:hi], axis=1, out=key[:n].reshape(shape))
+            np.add(offsets[:, None], start[lo:hi], out=em_start[:n].reshape(shape))
             length[:n].reshape(shape)[:] = durs[:, None]
             collided = _collide_arrays(key[:n], em_start[:n], length[:n], work=work)
-            counts += decode(collided.reshape(shape), n_head, threshold)
+            counts += decode(collided.reshape(shape)[:, first - lo:stop - lo], n_head, threshold)
         return counts
 
     sets = [buffer_set()]
-    # Beside its buffers, a thread allocates per grid the kernel's index row,
+    # Beside its buffers, a thread allocates per window the kernel's index row,
     # gathered lengths and two flag rows, and ``take``'s intp seeds and copy of ``out``.
     scratch = (emissions * (np.min_scalar_type(-emissions).itemsize + durs.itemsize
-                            + table.itemsize + 2) + busiest * np.dtype(np.intp).itemsize)
-    threads = _grid_threads(np.count_nonzero(per_grid), held - start.nbytes - seeds.nbytes,
+                            + table.itemsize + 2) + largest * np.dtype(np.intp).itemsize)
+    threads = _grid_threads(len(windows), held - start.nbytes - seeds.nbytes,
                             sum(b.nbytes for b in sets[0]) + scratch)
     sets += [buffer_set() for _ in range(threads - 1)]
     from concurrent.futures import ThreadPoolExecutor   # kept out of the package's import time

@@ -151,16 +151,25 @@ def _live_peaks(scenario: Scenario) -> tuple[float, float]:
     return peaks[0] / result.generated_packets, peaks[1] / result.generated_packets
 
 
+# Traced peaks of the whole ``run`` per packet (B) at the goodput peaks,
+# where the grid phase, not the draws' fixed cost per block, could set it.
+LIVE_RUNS = [   # (region, dr, devices, hours, measured B a packet: draws, run)
+    (EU868, "DR8", 9_000, 1, (34.52, 34.53)),
+    (EU868, "DR9", 5_000, 1, (34.96, 34.96)),
+    (US915, "DR5", 200, 1, (32.33, 32.34)),
+]
+
+
 def measure_live_draws() -> list[tuple[str, str, int, int, tuple[float, float]]]:
-    """Each ``LIVE_DRAWS`` row with its draws' and its whole run's traced
-    peaks remeasured at 10 B and seed 1.  Tier-1 does not call it;
-    remeasure the rows with::
+    """Each ``LIVE_DRAWS`` and ``LIVE_RUNS`` row with its draws' and its
+    whole run's traced peaks remeasured at 10 B and seed 1.  Tier-1 does
+    not call it; remeasure the rows with::
 
         PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \\
             import test_engine as t; print(*t.measure_live_draws(), sep='\\n')"
     """
     return [(*row[:4], tuple(round(peak, 2) for peak in _live_peaks(_live_scenario(*row[:4]))))
-            for row in LIVE_DRAWS]
+            for row in LIVE_DRAWS + LIVE_RUNS]
 
 
 _LIVE_VARIANTS = ("", "-wrapped", "-8cpus")
@@ -197,6 +206,23 @@ def test_draws_need_less_memory_than_bytes_per_packet(monkeypatch, region, dr, d
     assert whole <= engine.bytes_per_packet(scenario)
 
 
+@pytest.mark.parametrize("region, dr, devices, hours, measured, cpus",
+                         [(*row, cpus) for cpus in (2, 8) for row in LIVE_RUNS],
+                         ids=[f"{r}-{dr}-{n}-{cpus}cpus"
+                              for cpus in (2, 8) for r, dr, n, _, _ in LIVE_RUNS])
+def test_runs_at_the_goodput_peaks_hold_their_traced_peaks(monkeypatch, region, dr, devices,
+                                                           hours, measured, cpus):
+    # The draws set these peaks, on as many threads as the freed draws pay
+    # for.  Were a thread's buffers sized for a whole grid (about 487 k
+    # emissions for EU868 DR8's busiest), the grid phase would set them:
+    # 62.8 B a packet on DR8 and 38.9 on DR9.
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+    scenario = _live_scenario(region, dr, devices, hours)
+    _, whole = _live_peaks(scenario)
+    assert whole <= measured[1] + 1
+    assert whole <= engine.bytes_per_packet(scenario)
+
+
 def test_one_block_of_draws_is_returned_as_drawn(monkeypatch):
     # 1 024 devices are one block: its schedule and hop draws are not copied.
     hop = []
@@ -208,10 +234,10 @@ def test_one_block_of_draws_is_returned_as_drawn(monkeypatch):
 
 
 def test_lorae_run_needs_less_memory_than_its_emission_bytes(monkeypatch):
-    # The layout, collision and decoding of one grid at a time are the rest
-    # of a run's peak: their own traced peak must fit in the estimate's
-    # bytes for the busiest grid's emissions.  The draws are made before
-    # tracing and handed over as drawn.
+    # The layout, collision and decoding of one window at a time are the
+    # rest of a run's peak: their own traced peak must fit in the estimate's
+    # bytes for the busiest grid's emissions, which over-cover a window.
+    # The draws are made before tracing and handed over as drawn.
     scenario = _scenario("DR8", 10, 1000, 3_600_000, seed=1)
     template = _packet_template(scenario.profile, 10)
     start, seeds, grids = engine._draw_packets(scenario)
@@ -691,8 +717,9 @@ def test_grids_beyond_16_bits_stay_apart(monkeypatch):
 
 
 def test_each_collision_call_holds_one_grid(monkeypatch):
-    # Memory bound: a call lays out one grid's packets x hops, never more
-    # than the busiest grid, and the calls cover every emission once.
+    # Memory bound: a call lays out one grid's packets x hops, start-sorted,
+    # never more than the busiest grid, and the calls cover every emission
+    # once.  Grids this small are one window each, with no halo.
     scenario = _scenario("DR5", 10, 3, 30_000, seed=4, region=US915)
     start, _, grids = engine._draw_packets(scenario)
     hops = len(_packet_template(scenario.profile, 10)[1])
@@ -700,27 +727,109 @@ def test_each_collision_call_holds_one_grid(monkeypatch):
     calls = []
 
     def collide(key, start, length, **kwargs):
-        calls.append(start.copy())   # the run's buffer, overwritten by the next grid
+        calls.append(start.copy())   # the run's buffer, overwritten by the next window
         return _collide_arrays(key, start, length, **kwargs)
 
     monkeypatch.setattr(engine, "_collide_arrays", collide)
+    monkeypatch.setattr(engine, "_grid_threads", lambda *_: 1)   # calls in grid order
     result = run(scenario)
     busy = [g for g in range(scenario.plan.num_grids) if per_grid[g]]
     assert len(calls) == len(busy) < scenario.plan.num_grids
     for grid, em_start in zip(busy, calls):
         assert em_start.size == per_grid[grid] * hops
         # Hop-major: the first hop of each packet is the packet's start.
-        assert em_start[:per_grid[grid]].tolist() == start[grids == grid].tolist()
+        assert em_start[:per_grid[grid]].tolist() == sorted(start[grids == grid].tolist())
     assert sum(c.size for c in calls) == start.size * hops == result.generated_packets * hops
     assert max(c.size for c in calls) == per_grid.max() * hops
+
+
+def _record_windows(monkeypatch, scenario: Scenario, core: int) -> tuple[list, list]:
+    """Make later runs take one thread and cores of ``core`` packets of
+    ``scenario``'s template; return the lists that each collision call's
+    packet starts and each ``decode`` call's flags are appended to."""
+    hops = len(_packet_template(scenario.profile, scenario.payload_bytes)[1])
+    starts, flags, kernel, adjudicate = [], [], engine._collide_arrays, engine.decode
+    monkeypatch.setattr(engine, "_WINDOW_EMISSIONS", core * hops)
+    monkeypatch.setattr(engine, "_grid_threads", lambda *_: 1)   # calls in window order
+    monkeypatch.setattr(engine, "_collide_arrays", lambda key, start, length, **kwargs: (
+        starts.append(start[:start.size // hops].tolist()) or kernel(key, start, length,
+                                                                     **kwargs)))
+    monkeypatch.setattr(engine, "decode", lambda collided, *args: (
+        flags.append(collided.copy()) or adjudicate(collided, *args)))
+    return starts, flags
+
+
+@pytest.mark.parametrize("core", [1, 3, 16])
+def test_each_collision_call_holds_a_core_run_and_its_halo(monkeypatch, core):
+    # A grid of more than a core's packets is collided window by window: a
+    # core run of its start-sorted packets, with the grid's packets that
+    # start less than one airtime before the core's first start or after
+    # its last as the halo.  Only the core is decoded, and the cores cover
+    # every packet once.
+    scenario = _scenario("DR5", 10, 20, 120_000, seed=4, region=US915)
+    start, _, grids = engine._draw_packets(scenario)
+    offsets, durs, _, _ = _packet_template(scenario.profile, 10)
+    airtime = int(offsets[-1] + durs[-1])
+    calls, flags = _record_windows(monkeypatch, scenario, core)
+    result = run(scenario)
+    expected = []
+    for grid in sorted(set(grids.tolist())):
+        packets = sorted(start[grids == grid].tolist())
+        for a in range(0, len(packets), core):
+            first, last = packets[a], packets[min(a + core, len(packets)) - 1]
+            expected.append(([t for t in packets if first - airtime < t < last + airtime],
+                             min(core, len(packets) - a)))
+    assert [(c, f.shape) for c, f in zip(calls, flags)] == [
+        (window, (len(durs), size)) for window, size in expected]
+    assert sum(f.shape[1] for f in flags) == result.generated_packets == start.size
+    assert sum(len(c) for c in calls) > start.size   # some halos are not empty
+
+
+@pytest.mark.parametrize("region, dr, devices, hours", [
+    (EU868, "DR8", 500, 1), (EU868, "DR9", 500, 1),
+    (US915, "DR5", 5, 1),   # duty 1.0: a device's own packets overlap each other
+    (EU868, "DR0", 50, 4),  # LoRa: one grid, one window
+])
+def test_windows_of_one_packet_give_the_whole_grid_result(monkeypatch, region, dr, devices,
+                                                          hours):
+    # One packet a core, so the halos are most of every window: the result
+    # equals the default windows' (each grid here is one window), field for field.
+    scenario = _scenario(dr, 10, devices, hours * 3_600_000, seed=2, region=region)
+    default = dataclasses.asdict(run(scenario))
+    calls, _ = _record_windows(monkeypatch, scenario, 1)
+    assert dataclasses.asdict(run(scenario)) == default
+    assert 0 < default["decoded_packets"] < default["generated_packets"]
+    if dr != "DR0":
+        assert len(calls) == default["generated_packets"]
+        assert max(len(c) for c in calls) > 2
+
+
+@pytest.mark.parametrize("core", [1, 2])
+def test_packets_on_either_side_of_a_window_edge_collide_through_the_halo(monkeypatch, core):
+    # Packet q starts one airtime less 1 ms after p, on grid 1, and hops
+    # first to the carrier p hops to last: p's last fragment and q's first
+    # header overlap by 1 ms.  Cores of one packet put them in different
+    # windows, and only the halo lets each window see the other packet.
+    scenario = _scenario("DR8", 10, 1, 3_600_000, seed=0)
+    offsets, durs, _, _ = _packet_template(scenario.profile, 10)
+    airtime = int(offsets[-1] + durs[-1])
+    table = engine.slot_table(len(durs), scenario.plan.carriers_per_grid)
+    p_seed = 5
+    q_seed = int(np.flatnonzero(table[0] == table[-1, p_seed])[0])
+    starts = [1_000, 1_000 + airtime - 1]
+    _, flags = _record_windows(monkeypatch, scenario, core)
+    result, _ = _run_drawn(monkeypatch, scenario, starts, [p_seed, q_seed], [1, 1])
+    assert result == oracles.reference_run(scenario, [(starts, [p_seed, q_seed], [1, 1])])
+    p, q = np.concatenate(flags, axis=1).T
+    assert np.flatnonzero(p).tolist() == [len(durs) - 1] and np.flatnonzero(q).tolist() == [0]
 
 
 @pytest.mark.parametrize("region, dr, devices, hours, cpus, threads", [
     (US915, "DR5", 200, 1, 2, 2),     # 16 emissions a packet on 52 grids
     (US915, "DR5", 200, 1, 1, 1),
-    (US915, "DR5", 200, 1, 8, 2),     # a third thread's buffers and scratch outweigh the draws
-    (EU868, "DR8", 9_000, 1, 2, 1),   # on 8 grids a thread's buffers outweigh the freed draws
-    (EU868, "DR9", 5_000, 1, 2, 1),
+    (US915, "DR5", 200, 1, 8, 5),     # a sixth thread's buffers and scratch outweigh the draws
+    (EU868, "DR8", 9_000, 1, 2, 2),   # windows, not whole grids, size a thread's buffers
+    (EU868, "DR9", 5_000, 1, 2, 2),
     (EU868, "DR0", 100, 4, 2, 1),     # LoRa: one grid
 ])
 def test_grid_threads_are_paid_for_by_freed_draws(monkeypatch, region, dr, devices, hours,
@@ -745,11 +854,13 @@ def test_grid_threads_never_exceed_usable_cpus_or_grids(monkeypatch):
 @pytest.mark.parametrize("region, dr, devices, hours", [
     (EU868, "DR8", 500, 1), (EU868, "DR0", 50, 4), (US915, "DR5", 50, 1)])
 def test_one_thread_and_several_give_equal_results(monkeypatch, region, dr, devices, hours):
-    # The grids' counts add up in any order, so the thread count (forced
+    # The windows' counts add up in any order, so the thread count (forced
     # here, past what the rule allows and past the CPUs) changes no field
     # of the result, and every thread a run starts has ended when it
-    # returns.  A short switch interval interleaves the threads' takes of
-    # the shared grids: a grid lost or taken twice would change the counts.
+    # returns.  Cores of 1 024 emissions give LoRa-E runs dozens of windows
+    # a grid, and a short switch interval interleaves the threads' takes of
+    # them: a window lost or taken twice would change the counts.
+    monkeypatch.setattr(engine, "_WINDOW_EMISSIONS", 2 ** 10)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -869,6 +980,17 @@ def test_both_families_take_one_layout_path(monkeypatch, dr):
     scenario = _scenario(dr, 10, 20, 3_600_000, seed=3)
     result = run(scenario)
     assert calls == [(scenario,)] and result.generated_packets > 0
+
+
+@pytest.mark.parametrize("dr", ["DR0", "DR8"])
+def test_a_run_builds_its_packet_template_once(monkeypatch, dr):
+    # The memory check and the layout read the one template the run builds.
+    builds, build = [], engine._packet_template
+    monkeypatch.setattr(engine, "_packet_template",
+                        lambda *args: builds.append(args) or build(*args))
+    scenario = _scenario(dr, 10, 20, 3_600_000, seed=3)
+    assert run(scenario).generated_packets > 0
+    assert builds == [(scenario.profile, 10)]
 
 
 @pytest.mark.parametrize("dr", ["DR8", "DR0"])
